@@ -27,15 +27,19 @@ EXIT_VERIFY = 4
 
 
 class RunConfig(NamedTuple):
-    """Fully parsed invocation; identical configs give identical output."""
+    """Fully parsed invocation; identical configs give identical output.
+
+    Field names are the argparse destinations, so parse_args builds a
+    config straight from the parsed namespace.
+    """
 
     command: str
     n: Optional[int] = None
     v_init: Optional[int] = None
     seed: Optional[str] = None
     limit: Optional[int] = None
-    output_format: Optional[str] = None
-    guard_override: bool = False
+    format: Optional[str] = None
+    override_guard: bool = False
     alg: str = 'complement'
     order: Optional[Tuple[int, ...]] = None
     which: Optional[int] = None
@@ -124,23 +128,7 @@ def parse_args(argv=None):
                    dest='override_guard')
     p.add_argument('--format', choices=['csv'], default='csv')
 
-    args = parser.parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, 'n', None),
-        v_init=getattr(args, 'v_init', None),
-        seed=getattr(args, 'seed', None),
-        limit=getattr(args, 'limit', None),
-        output_format=getattr(args, 'format', None),
-        guard_override=getattr(args, 'override_guard', False),
-        alg=getattr(args, 'alg', 'complement'),
-        order=getattr(args, 'order', None),
-        which=getattr(args, 'which', None),
-        cycle=getattr(args, 'cycle', None),
-        sequence=getattr(args, 'sequence', None),
-        all_inits=getattr(args, 'all_inits', False),
-        highlight=getattr(args, 'highlight', None),
-    )
+    return RunConfig(**vars(parser.parse_args(argv)))
 
 
 def _usage(message):
@@ -176,10 +164,7 @@ def _decomposition(cfg):
 
 def cmd_graph(cfg):
     graph = gamma.build(cfg.n)
-    highlight = None
-    if cfg.highlight is not None:
-        highlight = tuple(cfg.highlight)
-    sys.stdout.write(gamma.dot_export(graph, highlight))
+    sys.stdout.write(gamma.dot_export(graph, cfg.highlight))
     return EXIT_OK
 
 
@@ -187,7 +172,7 @@ def cmd_greedy(cfg):
     walker = (greedy.prefer_complement if cfg.alg == 'complement'
               else greedy.modified_prefer_double)
     if cfg.all_inits:
-        fmt = cfg.output_format or 'jsonl'
+        fmt = cfg.format or 'jsonl'
         for v in range(1, (1 << cfg.n)):
             path = walker(cfg.n, v)
             ham = greedy.is_hamiltonian(path, cfg.n)
@@ -202,7 +187,7 @@ def cmd_greedy(cfg):
         return _usage('greedy needs --v-init or --all')
     path = walker(cfg.n, cfg.v_init)
     ham = greedy.is_hamiltonian(path, cfg.n)
-    fmt = cfg.output_format or 'text'
+    fmt = cfg.format or 'text'
     if fmt == 'jsonl':
         seq = None
         if ham:
@@ -220,7 +205,7 @@ def cmd_greedy(cfg):
 
 def cmd_decompose(cfg):
     dec = _decomposition(cfg)
-    fmt = cfg.output_format or 'jsonl'
+    fmt = cfg.format or 'jsonl'
     if fmt == 'jsonl':
         print(json.dumps({'n': dec.n,
                           'cycles': [list(c) for c in dec.cycles],
@@ -235,7 +220,9 @@ def cmd_join(cfg):
     dec = _decomposition(cfg)
     graph = joiner.complement_pairs(dec)
     count = joiner.best_count(graph)
-    fmt = cfg.output_format or 'jsonl'
+    # Listing the trees may refuse; do it before anything is printed.
+    joined = joiner.enumerate_joined_cycles(dec)
+    fmt = cfg.format or 'jsonl'
     if fmt == 'jsonl':
         print(json.dumps({'n': dec.n,
                           'cycles': [list(c) for c in dec.cycles],
@@ -246,7 +233,7 @@ def cmd_join(cfg):
               f'spanning trees: {count}')
     distinct = set()
     emitted = 0
-    for pairs, cycle in joiner.enumerate_joined_cycles(dec):
+    for pairs, cycle in joined:
         distinct.add(cycle)
         if cfg.limit is not None and emitted >= cfg.limit:
             continue
@@ -272,7 +259,7 @@ def cmd_join(cfg):
 
 def cmd_enumerate(cfg):
     stream = gamma.enumerate_hamiltonian(cfg.n, limit=cfg.limit,
-                                         override_guard=cfg.guard_override)
+                                         override_guard=cfg.override_guard)
     for cycle in stream:
         report = canonical.minimal_polynomial_of_cycle(cycle)
         print(json.dumps(_report_record(cycle, report)))
@@ -280,17 +267,15 @@ def cmd_enumerate(cfg):
 
 
 def _cycle_from_config(cfg):
-    """Build the HamCycle named by --cycle/--sequence, or raise ValueError."""
-    if (cfg.cycle is None) == (cfg.sequence is None):
-        raise ValueError('exactly one of --cycle or --sequence is required')
+    """Build the HamCycle named by --cycle/--sequence, or raise ValueError.
+
+    Callers have checked that exactly one of the two is set.
+    """
     if cfg.cycle is not None:
-        text = _read_arg(cfg.cycle)
         try:
-            verts = tuple(int(p) for p in text.replace(' ', '').split(',')
-                          if p)
-        except ValueError:
-            raise ValueError(f'not a comma-separated vertex list: '
-                             f'{text!r}') from None
+            verts = _csv_ints(_read_arg(cfg.cycle))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(str(exc)) from None
         cycle = gamma.HamCycle(verts, cfg.n)
     else:
         seq = seqkit.parse_sequence(_read_arg(cfg.sequence))
@@ -310,7 +295,7 @@ def cmd_minpoly(cfg):
         print(f'error: {exc}', file=sys.stderr)
         return EXIT_VERIFY
     report = canonical.minimal_polynomial_of_cycle(cycle)
-    fmt = cfg.output_format or 'text'
+    fmt = cfg.format or 'text'
     if fmt == 'jsonl':
         print(json.dumps(_report_record(cycle, report)))
     else:
@@ -326,7 +311,7 @@ def cmd_minpoly(cfg):
 def cmd_verify(cfg):
     if (cfg.cycle is None) == (cfg.sequence is None):
         return _usage('verify needs exactly one of --cycle or --sequence')
-    fmt = cfg.output_format or 'text'
+    fmt = cfg.format or 'text'
     if cfg.cycle is not None:
         try:
             cycle = _cycle_from_config(cfg)
@@ -340,42 +325,37 @@ def cmd_verify(cfg):
         record = {'n': cycle.n, 'vertices': list(cycle.vertices),
                   'sequence': seq.to_text(), 'span': report.span,
                   'bm_matches': report.bm_check == report.f, 'ok': ok}
-        if fmt == 'jsonl':
-            print(json.dumps(record))
-        else:
-            for key, value in record.items():
-                print(f'{key} = {value}')
-        return EXIT_OK if ok else EXIT_VERIFY
-    text = _read_arg(cfg.sequence)
-    try:
-        seq = seqkit.parse_sequence(text)
-    except ValueError as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return EXIT_USAGE
-    n = cfg.n
-    if n is None:
-        period = seq.period
-        if (period + 1) & period == 0:  # 2^k - 1
-            n = (period + 1).bit_length() - 1
-        elif period & (period - 1) == 0:
-            n = period.bit_length() - 1
-        else:
-            print('error: cannot infer the order; pass --n',
-                  file=sys.stderr)
+    else:
+        text = _read_arg(cfg.sequence)
+        try:
+            seq = seqkit.parse_sequence(text)
+        except ValueError as exc:
+            print(f'error: {exc}', file=sys.stderr)
             return EXIT_USAGE
-    debruijn = seq.period == (1 << n) and seqkit.is_de_bruijn(seq, n)
-    mdb = (seq.period == (1 << n) - 1
-           and seqkit.is_modified_de_bruijn(seq, n))
-    bm = seqkit.berlekamp_massey(seq)
-    span_form = None
-    if debruijn and n >= 3:
-        span_form = seqkit.check_de_bruijn_span_form(seq, n)
-    ok = debruijn or mdb
-    record = {'n': n, 'period': seq.period, 'de_bruijn': debruijn,
-              'modified_de_bruijn': mdb,
-              'linear_complexity': bm.linear_complexity,
-              'minimal_polynomial': _poly(bm.minimal_polynomial),
-              'span_form': span_form, 'ok': ok}
+        n = cfg.n
+        if n is None:
+            period = seq.period
+            if (period + 1) & period == 0:  # 2^k - 1
+                n = (period + 1).bit_length() - 1
+            elif period & (period - 1) == 0:
+                n = period.bit_length() - 1
+            else:
+                print('error: cannot infer the order; pass --n',
+                      file=sys.stderr)
+                return EXIT_USAGE
+        debruijn = seq.period == (1 << n) and seqkit.is_de_bruijn(seq, n)
+        mdb = (seq.period == (1 << n) - 1
+               and seqkit.is_modified_de_bruijn(seq, n))
+        bm = seqkit.berlekamp_massey(seq)
+        span_form = None
+        if debruijn and n >= 3:
+            span_form = seqkit.check_de_bruijn_span_form(seq, n)
+        ok = debruijn or mdb
+        record = {'n': n, 'period': seq.period, 'de_bruijn': debruijn,
+                  'modified_de_bruijn': mdb,
+                  'linear_complexity': bm.linear_complexity,
+                  'minimal_polynomial': _poly(bm.minimal_polynomial),
+                  'span_form': span_form, 'ok': ok}
     if fmt == 'jsonl':
         print(json.dumps(record))
     else:
@@ -384,31 +364,24 @@ def cmd_verify(cfg):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _tables_guard(cfg):
-    ceiling = gamma.exhaustive_limit()
-    if cfg.n > ceiling and not cfg.guard_override:
-        raise gamma.GuardRefusal(
-            f'tables at order {cfg.n} exceed the guard ceiling {ceiling}')
-
-
 def cmd_tables(cfg):
-    _tables_guard(cfg)
+    gamma.guard_exhaustive(cfg.n, cfg.override_guard)
     writer = csv.writer(sys.stdout, lineterminator='\n')
     if cfg.which == 1:
         spans = canonical.spans_of_all_cycles(
-            cfg.n, override_guard=cfg.guard_override)
+            cfg.n, override_guard=cfg.override_guard)
         print(','.join(str(s) for s in sorted(spans)))
         return EXIT_OK
     if cfg.which == 2:
-        top = (1 << cfg.n) - 2
+        # Maximal span 2^n - 2 means the generator is coprime to F.
+        f = gf2poly.build_F(cfg.n)
         rows = []
         for cycle in gamma.enumerate_hamiltonian(
-                cfg.n, override_guard=cfg.guard_override):
-            report = canonical.minimal_polynomial_of_cycle(cycle)
-            if report.span == top:
-                series = gf2poly.expand_series(
-                    report.c_h, gf2poly.build_F(cfg.n), (1 << cfg.n) - 1)
-                rows.append((gf2poly.to_text(report.c_h, 'binary'),
+                cfg.n, override_guard=cfg.override_guard):
+            c_h = canonical.canonical_generator(cycle)
+            if gf2poly.gcd(c_h, f) == 1:
+                series = gf2poly.expand_series(c_h, f, (1 << cfg.n) - 1)
+                rows.append((gf2poly.to_text(c_h, 'binary'),
                              series.to_text()))
         for row in sorted(rows):
             writer.writerow(row)

@@ -22,7 +22,9 @@ variable MDBS_EXHAUSTIVE_MAX, default 6) are refused unless explicitly
 overridden.
 """
 
+import itertools
 import os
+from typing import NamedTuple, Optional, Tuple
 
 from .seqkit import BitSequence
 
@@ -46,6 +48,16 @@ def exhaustive_limit():
         return DEFAULT_EXHAUSTIVE_MAX
 
 
+def guard_exhaustive(n, override_guard=False):
+    """Raise GuardRefusal above exhaustive_limit() unless overridden."""
+    ceiling = exhaustive_limit()
+    if n > ceiling and not override_guard:
+        raise GuardRefusal(
+            f'exhaustive enumeration at order {n} exceeds the guard '
+            f'ceiling {ceiling}; raise {EXHAUSTIVE_MAX_ENV} or override '
+            f'to accept the exponential run time')
+
+
 def _check_order(n, minimum=2):
     if not isinstance(n, int) or n < minimum:
         raise ValueError(f'order n must be an integer >= {minimum}')
@@ -64,28 +76,17 @@ def successors(a, n):
     return (d if d else None, (1 << n) - 1 - d)
 
 
-class GammaGraph:
+class GammaGraph(NamedTuple):
     """The full digraph of some order n, with arc lookup tables.
 
     `double[a]` and `comp[a]` give the arc targets of vertex a (index 0
-    is padding); a missing double arc is stored as None.
+    is padding); a missing double arc is stored as None.  Built by
+    `build`.
     """
 
-    __slots__ = ('n', 'double', 'comp')
-
-    def __init__(self, n):
-        _check_order(n, minimum=3)
-        size = 1 << n
-        double = [None] * size
-        comp = [None] * size
-        for a in range(1, size):
-            double[a], comp[a] = successors(a, n)
-        object.__setattr__(self, 'n', n)
-        object.__setattr__(self, 'double', tuple(double))
-        object.__setattr__(self, 'comp', tuple(comp))
-
-    def __setattr__(self, name, v):
-        raise AttributeError('GammaGraph is immutable')
+    n: int
+    double: Tuple[Optional[int], ...]
+    comp: Tuple[Optional[int], ...]
 
     @property
     def vertices(self):
@@ -123,7 +124,9 @@ class GammaGraph:
 
 def build(n):
     """Construct the graph of order n >= 3."""
-    return GammaGraph(n)
+    _check_order(n, minimum=3)
+    arcs = [(None, None)] + [successors(a, n) for a in range(1, 1 << n)]
+    return GammaGraph(n, *zip(*arcs))
 
 
 class HamCycle:
@@ -263,51 +266,44 @@ def enumerate_hamiltonian(n, limit=None, override_guard=False):
     Depth-first search from the all-ones start vertex, exploring the
     double arc before the complement arc, so the stream order is
     deterministic.  `limit` truncates the stream.  Orders above the
-    exhaustive guard (see exhaustive_limit) raise GuardRefusal unless
+    exhaustive guard (see guard_exhaustive) raise GuardRefusal unless
     `override_guard` is set.
     """
     _check_order(n, minimum=3)
-    ceiling = exhaustive_limit()
-    if n > ceiling and not override_guard:
-        raise GuardRefusal(
-            f'exhaustive enumeration at order {n} exceeds the guard '
-            f'ceiling {ceiling}; raise {EXHAUSTIVE_MAX_ENV} or override '
-            f'to accept the exponential run time')
-    graph = build(n)
-    size = (1 << n) - 1
+    guard_exhaustive(n, override_guard)
+    cycles = _hamiltonian_dfs(build(n))
+    if limit is None:
+        return cycles
+    return itertools.islice(cycles, max(limit, 0))
+
+
+def _hamiltonian_dfs(graph):
+    """Hamiltonian cycles of the graph, by DFS with an explicit stack.
+
+    `pending[k]` iterates the untried successors of `path[k]`.
+    """
+    double, comp = graph.double, graph.comp
+    size = (1 << graph.n) - 1
     start = size
-
-    def _stream():
-        remaining = limit
-        if remaining is not None and remaining <= 0:
-            return
-        double, comp = graph.double, graph.comp
-        used = bytearray(size + 1)
-        used[start] = 1
-        path = [start]
-
-        def _rec():
-            a = path[-1]
-            if len(path) == size:
-                if comp[a] == start or double[a] == start:
-                    yield HamCycle(tuple(path), n)
-                return
-            for b in (double[a], comp[a]):
-                if b and not used[b]:
-                    used[b] = 1
-                    path.append(b)
-                    yield from _rec()
-                    path.pop()
-                    used[b] = 0
-
-        for cycle in _rec():
-            yield cycle
-            if remaining is not None:
-                remaining -= 1
-                if remaining <= 0:
-                    return
-
-    return _stream()
+    used = bytearray(size + 1)
+    used[start] = 1
+    path = [start]
+    pending = [iter((double[start], comp[start]))]
+    while pending:
+        for b in pending[-1]:
+            if b and not used[b]:
+                used[b] = 1
+                path.append(b)
+                if len(path) < size:
+                    pending.append(iter((double[b], comp[b])))
+                    break
+                if start in (double[b], comp[b]):
+                    yield HamCycle(tuple(path), graph.n)
+                path.pop()
+                used[b] = 0
+        else:
+            pending.pop()
+            used[path.pop()] = 0
 
 
 def dot_export(graph, highlight=None):

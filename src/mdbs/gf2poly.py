@@ -89,8 +89,6 @@ def _gcd(a, b):
 
 
 def _powmod(a, e, m):
-    if m == 0:
-        raise ZeroDivisionError('zero modulus')
     if e < 0:
         raise ValueError('negative exponent')
     r = 1
@@ -142,9 +140,6 @@ class Gf2Poly:
         """Coefficient of x^i as 0 or 1."""
         return (self.value >> i) & 1 if i >= 0 else 0
 
-    def __int__(self):
-        return self.value
-
     def __index__(self):
         return self.value
 
@@ -161,27 +156,8 @@ class Gf2Poly:
     def __hash__(self):
         return hash(self.value)
 
-    def __add__(self, other):
-        return Gf2Poly(self.value ^ _val(other))
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        return Gf2Poly(_mul(self.value, _val(other)))
-
-    __rmul__ = __mul__
-
     def __mod__(self, other):
         return Gf2Poly(_mod(self.value, _val(other)))
-
-    def __floordiv__(self, other):
-        return Gf2Poly(_divmod(self.value, _val(other))[0])
-
-    def __divmod__(self, other):
-        q, r = _divmod(self.value, _val(other))
-        return Gf2Poly(q), Gf2Poly(r)
 
     def __repr__(self):
         return _to_symbolic(self.value)
@@ -199,10 +175,7 @@ def mul(a, b):
 
 def mul_mod(a, b, m):
     """Product of a and b reduced modulo the nonzero polynomial m."""
-    m = _val(m)
-    if m == 0:
-        raise ZeroDivisionError('zero modulus')
-    return Gf2Poly(_mod(_mul(_val(a), _val(b)), m))
+    return Gf2Poly(_mod(_mul(_val(a), _val(b)), _val(m)))
 
 
 def pow_mod(a, e, m):

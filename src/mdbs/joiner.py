@@ -18,6 +18,7 @@ and is guarded above MAX_EXHAUSTIVE_EDGES edges.
 
 import itertools
 import warnings
+from typing import NamedTuple, Tuple
 
 from .gamma import GuardRefusal, HamCycle
 
@@ -54,7 +55,7 @@ class JoinGraph:
                 f'edges={self.edges})')
 
 
-class JoinMatrix:
+class JoinMatrix(NamedTuple):
     """Symmetric integer matrix of a join graph.
 
     Diagonal entries count the edges at each node, off-diagonal entries
@@ -62,22 +63,12 @@ class JoinMatrix:
     zero, and any first cofactor counts the spanning trees.
     """
 
-    __slots__ = ('entries',)
-
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        object.__setattr__(self, 'entries', entries)
-
-    def __setattr__(self, name, v):
-        raise AttributeError('JoinMatrix is immutable')
+    entries: Tuple[Tuple[int, ...], ...]
 
     def cofactor(self):
         """Determinant of the matrix with row 0 and column 0 removed."""
         minor = [list(row[1:]) for row in self.entries[1:]]
         return _det(minor)
-
-    def __repr__(self):
-        return f'JoinMatrix({self.entries})'
 
 
 def _det(m):
@@ -132,7 +123,7 @@ def join_matrix(graph):
         entries[k - 1][k - 1] += 1
         entries[i - 1][k - 1] -= 1
         entries[k - 1][i - 1] -= 1
-    return JoinMatrix(entries)
+    return JoinMatrix(tuple(map(tuple, entries)))
 
 
 def best_count(graph):

@@ -290,5 +290,5 @@ def check_de_bruijn_span_form(s, n):
         return False
     binomial = Gf2Poly(1)
     for _ in range(z):
-        binomial = binomial * 3  # multiply by x + 1
+        binomial = gf2poly.mul(binomial, 3)  # multiply by x + 1
     return result.minimal_polynomial == binomial

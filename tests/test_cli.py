@@ -175,6 +175,14 @@ def test_join_single_cycle_identity(capsys):
     assert json.loads(lines[-1]) == {'distinct_joined_cycles': 1}
 
 
+def test_join_refusal_writes_nothing_to_stdout(capsys):
+    # 51 edges: over the spanning-tree ceiling, so the run is refused.
+    assert cli.main(['join', '--n', '8', '--seed', '3']) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('refused:')
+
+
 def test_enumerate_jsonl_records(capsys):
     assert cli.main(['enumerate', '--n', '4', '--limit', '3']) == 0
     lines = capsys.readouterr().out.splitlines()

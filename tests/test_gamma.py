@@ -203,6 +203,14 @@ def test_enumeration_guard_env_ceiling(monkeypatch):
     assert gamma.exhaustive_limit() == gamma.DEFAULT_EXHAUSTIVE_MAX
 
 
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    # A cycle at order 10 is 1023 vertices deep in the search.
+    cycle = next(gamma.enumerate_hamiltonian(10, limit=1,
+                                             override_guard=True))
+    assert len(cycle) == 1023
+    assert cycle.vertices[0] == 1023
+
+
 def test_dot_export_content():
     graph = gamma.build(4)
     text = gamma.dot_export(graph)
