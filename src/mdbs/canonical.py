@@ -4,12 +4,13 @@ Every Hamiltonian cycle H of order n is traced by exactly one
 generator polynomial c_H with constant term 1 and degree 2^n - n - 2:
 the walk (x^i * c_H mod F) mod x^n visits the cycle's vertices in
 order, where F is the all-ones polynomial of degree 2^n - 2.  The
-generator is recovered by anchoring the all-ones vertex: its window is
-forced, and each later step of the walk exposes exactly one unknown
-coefficient, because only the top power x^(2^n - 2) folds back onto
-the low window when reduced mod F.  The recovery loop doubles as
-verification, checking every remaining window of the regenerated walk
-against the cycle.
+generator is read off the arc labels in closed form.  Since
+F = (x^N + 1) / (x + 1) with N = 2^n - 1, the series of c_H / F
+repeats c_H * (x + 1), so that product is one period of the labels,
+read highest power first.  Its degree N - n leaves the top n - 1
+coefficients zero, which picks the rotation that starts at the one
+run of n - 1 zero labels, n - 1 places before the all-ones vertex.
+Dividing that period by x + 1 gives c_H.
 
 The minimal polynomial of the cycle's label sequence follows from the
 reduced fraction c_H / F: with d = gcd(c_H, F) and f = F / d, the
@@ -52,42 +53,18 @@ def generator_shift(g, k, n):
 def canonical_generator(cycle):
     """The unique generator with constant term 1 of a Hamiltonian cycle.
 
-    Walk position of the all-ones vertex anchors the alignment; one
-    unknown coefficient is then read off per step, after which the
-    remaining steps verify the fully regenerated walk.  Returns a
-    polynomial of degree 2^n - n - 2 with constant term 1.
+    The low bits of the vertices (the labels of the arcs into them),
+    from n - 1 places before the all-ones vertex and read highest power
+    first, are c_H * (x + 1).  Returns a polynomial of degree
+    2^n - n - 2 with constant term 1.
     """
-    n = cycle.n
-    size = (1 << n) - 1      # vertex count, also the all-ones vertex
-    f = int(build_F(n))
-    deg_f = size - 1
-    deg_c = size - n - 1
     verts = cycle.vertices
-    anchor = verts.index(size)
-    c = (1 << deg_c) | 1
-    topstep = (1 << deg_f) - 1   # x^deg_f mod F = 1 + x + ... + x^(deg_f-1)
-    mask = (1 << n) - 1
-    w = gf2poly._mod(c << n, f)  # x^(n+k) * (known part of c) mod F at k=0
-    for k in range(1, size):
-        w <<= 1
-        if w >> deg_f:
-            w ^= f
-        target = verts[(anchor + k) % size]
-        low = w & mask
-        i = deg_c - k
-        if 1 <= i < deg_c:
-            # Coefficient i is exposed now: if set, it contributes
-            # x^deg_f, which reduces to the all-ones pattern.
-            if low ^ mask == target:
-                c |= 1 << i
-                w ^= topstep
-            elif low != target:
-                raise RuntimeError(
-                    'internal error: generator recovery lost the walk')
-        elif low != target:
-            raise RuntimeError(
-                'internal error: regenerated walk disagrees with the cycle')
-    return Gf2Poly(c)
+    start = verts.index((1 << cycle.n) - 1) + 1 - cycle.n
+    labels = ''.join('01'[b & 1] for b in verts[start:] + verts[:start])
+    c_h, rem = gf2poly.div_rem(int(labels, 2), 3)
+    if rem:
+        raise RuntimeError('internal error: labels have odd weight')
+    return c_h
 
 
 def minimal_polynomial_of_cycle(cycle):

@@ -295,16 +295,13 @@ def cmd_minpoly(cfg):
         print(f'error: {exc}', file=sys.stderr)
         return EXIT_VERIFY
     report = canonical.minimal_polynomial_of_cycle(cycle)
+    record = _report_record(cycle, report)
     fmt = cfg.format or 'text'
     if fmt == 'jsonl':
-        print(json.dumps(_report_record(cycle, report)))
+        print(json.dumps(record))
     else:
-        print(f'c_h = {_poly(report.c_h)}')
-        print(f'd = {_poly(report.d)}')
-        print(f'f = {_poly(report.f)}')
-        print(f'f_star = {_poly(report.f_star)}')
-        print(f'span = {report.span}')
-        print(f'bm_check = {_poly(report.bm_check)}')
+        for key in canonical.MinPolyReport._fields:
+            print(f'{key} = {record[key]}')
     return EXIT_OK
 
 

@@ -10,6 +10,9 @@ out-arcs:
 * a "complement" arc A -> (2^n - 1) - (2A mod 2^n), labeled 1 and
   drawn red.
 
+A double target is even and a complement target is odd, so the label
+of an arc is the low bit of its target.
+
 Every order has exactly one self-loop, on a complement arc, at vertex
 (2^n - 1)/3 for even n and (2^(n+1) - 1)/3 for odd n.
 
@@ -68,12 +71,23 @@ def _check_vertex(v, n):
         raise ValueError(f'vertex {v!r} outside 1..{(1 << n) - 1}')
 
 
+def _targets(a, mask):
+    """Arc targets (double, complement) of vertex a, with mask = 2^n - 1.
+
+    No argument is checked.  A double target of 0 marks the missing
+    double arc.  A double target is even and a complement target is
+    odd, so an arc's label is the low bit of its target.
+    """
+    d = (a << 1) & mask
+    return d, mask ^ d
+
+
 def successors(a, n):
     """Successor pair (double, complement) of vertex a; double may be None."""
     _check_order(n)
     _check_vertex(a, n)
-    d = (2 * a) % (1 << n)
-    return (d if d else None, (1 << n) - 1 - d)
+    d, c = _targets(a, (1 << n) - 1)
+    return (d or None, c)
 
 
 class GammaGraph(NamedTuple):
@@ -154,7 +168,7 @@ class HamCycle:
         for i, a in enumerate(vertices):
             _check_vertex(a, n)
             b = vertices[(i + 1) % size]
-            if b not in successors(a, n):
+            if b not in _targets(a, size):
                 raise ValueError(f'({a}, {b}) is not an arc at order {n}')
         top = vertices.index(size)
         object.__setattr__(self, 'vertices', vertices)
@@ -220,19 +234,8 @@ def walk_of_generator(g, n):
 
 def cycle_to_sequence(cycle):
     """Arc labels around a cycle, starting from its stored first vertex."""
-    n = cycle.n
     verts = cycle.vertices
-    bits = []
-    for i, a in enumerate(verts):
-        b = verts[(i + 1) % len(verts)]
-        d, c = successors(a, n)
-        if b == d:
-            bits.append(0)
-        elif b == c:
-            bits.append(1)
-        else:
-            raise ValueError(f'({a}, {b}) is not an arc at order {n}')
-    return BitSequence(bits)
+    return BitSequence(b & 1 for b in verts[1:] + verts[:1])
 
 
 def cycle_from_sequence(s, n=None):

@@ -22,20 +22,25 @@ resulting PsiDecomposition is the raw material for cycle joining.
 
 import random
 
-from .gamma import successors, _check_order, _check_vertex
+from .gamma import successors, _check_order, _check_vertex, _targets
 
 
 def _grow(path, used, n, prefer_double):
-    """Extend path greedily until both successors are exhausted."""
+    """Extend path greedily until both successors are exhausted.
+
+    Callers have checked n and path[0]; every later vertex is an arc
+    target, so no step re-checks.
+    """
+    mask = (1 << n) - 1
     while True:
-        d, c = successors(path[-1], n)
+        d, c = _targets(path[-1], mask)
         if prefer_double:
             first, second = d, c
         else:
             first, second = c, d
-        if first is not None and first not in used:
+        if first and first not in used:
             nxt = first
-        elif second is not None and second not in used:
+        elif second and second not in used:
             nxt = second
         else:
             return

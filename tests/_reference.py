@@ -140,3 +140,40 @@ def cyclic_windows(bits, n):
             w = (w << 1) | bits[(i + j) % period]
         out.append(w)
     return out
+
+
+def ref_canonical_generator(cycle):
+    """Generator with constant term 1 of a cycle, by an anchored walk.
+
+    The all-ones vertex fixes the walk's alignment.  Each later step of
+    x^k * c mod F exposes one unknown coefficient of c, because only the
+    top power x^(2^n - 2) folds back onto the low window, as the
+    all-ones pattern; the remaining steps check the regenerated walk.
+    """
+    n = cycle.n
+    size = (1 << n) - 1      # vertex count, also the all-ones vertex
+    f = (1 << size) - 1      # F = 1 + x + ... + x^(2^n - 2)
+    deg_f = size - 1
+    deg_c = size - n - 1
+    verts = cycle.vertices
+    anchor = verts.index(size)
+    c = (1 << deg_c) | 1
+    topstep = (1 << deg_f) - 1   # x^deg_f mod F = 1 + x + ... + x^(deg_f-1)
+    mask = (1 << n) - 1
+    w = ref_divmod(c << n, f)[1]
+    for k in range(1, size):
+        w <<= 1
+        if w >> deg_f:
+            w ^= f
+        target = verts[(anchor + k) % size]
+        low = w & mask
+        i = deg_c - k
+        if 1 <= i < deg_c:
+            if low ^ mask == target:
+                c |= 1 << i
+                w ^= topstep
+            elif low != target:
+                raise AssertionError('reference recovery lost the walk')
+        elif low != target:
+            raise AssertionError('regenerated walk disagrees with the cycle')
+    return c

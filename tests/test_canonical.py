@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import _reference as ref
 from mdbs import canonical, gamma, gf2poly, greedy, joiner, seqkit
 from mdbs.gamma import GuardRefusal, HamCycle
 from mdbs.gf2poly import Gf2Poly
@@ -69,6 +70,21 @@ def test_canonical_generator_regenerates_its_cycle():
         assert c_h.degree == 25
         assert c_h.coefficient(0) == 1
         assert HamCycle(gamma.walk_of_generator(c_h, 5), 5) == cycle
+
+
+def test_canonical_generator_matches_reference_recovery():
+    cycles = [HamCycle(v, 2) for v in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+    for n in (3, 4, 5):
+        for cycle in gamma.enumerate_hamiltonian(n):
+            verts = cycle.vertices
+            cycles += [HamCycle(verts[k:] + verts[:k], n) for k in (0, 1, 6)]
+    for n in range(6, 15):
+        for s in range(4):
+            cycles.append(joiner.join_all(greedy.psi_decompose(n, seed=s)))
+    mismatches = [(c.n, i) for i, c in enumerate(cycles)
+                  if canonical.canonical_generator(c)
+                  != ref.ref_canonical_generator(c)]
+    assert mismatches == []
 
 
 def test_canonical_generator_is_rotation_invariant():

@@ -46,6 +46,15 @@ def test_every_order_has_exactly_one_self_loop():
         assert c == vertex and d != vertex
 
 
+def test_arc_label_is_low_bit_of_target():
+    for n in range(3, 11):
+        mask = (1 << n) - 1
+        for a in range(1, mask + 1):
+            d, c = gamma.successors(a, n)
+            assert gamma._targets(a, mask) == (d or 0, c)
+        assert all(label == b & 1 for _, b, label in gamma.build(n).arcs())
+
+
 def test_degree_profile():
     for n in range(3, 13):
         graph = gamma.build(n)
