@@ -14,7 +14,7 @@ decompositions), joiner (cycle joining and spanning-tree counts),
 canonical (generators and minimal polynomials), cli (command line).
 """
 
-from .gf2poly import Gf2Poly, OrderUndeterminedError
+from .gf2poly import Gf2Poly
 from .seqkit import BitSequence, BmResult
 from .gamma import GammaGraph, GuardRefusal, HamCycle
 from .greedy import PsiDecomposition
@@ -33,7 +33,6 @@ __all__ = [
     'JoinGraph',
     'JoinMatrix',
     'MinPolyReport',
-    'OrderUndeterminedError',
     'PsiDecomposition',
     '__version__',
 ]

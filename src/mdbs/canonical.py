@@ -40,16 +40,6 @@ class MinPolyReport(NamedTuple):
     bm_check: Gf2Poly
 
 
-def generator_shift(g, k, n):
-    """x^k * g mod F: the generator of the same cycle rotated k steps."""
-    if gf2poly._val(g) == 0:
-        raise ValueError('generator must be nonzero')
-    if k < 0:
-        raise ValueError('shift must be nonnegative')
-    f = build_F(n)
-    return gf2poly.mul_mod(gf2poly.pow_mod(2, k, f), g, f)
-
-
 def canonical_generator(cycle):
     """The unique generator with constant term 1 of a Hamiltonian cycle.
 

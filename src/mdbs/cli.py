@@ -391,12 +391,11 @@ def cmd_tables(cfg):
                 path = walker(cfg.n, v)
                 if greedy.is_hamiltonian(path, cfg.n):
                     cycle = gamma.HamCycle(path, cfg.n)
-                    groups.setdefault(cycle, []).append(v)
-            for inits in sorted(groups.values()):
-                row_path = walker(cfg.n, inits[0])
+                    groups.setdefault(cycle, ([], path))[0].append(v)
+            for inits, path in sorted(groups.values()):
                 writer.writerow([alg,
                                  ' '.join(str(v) for v in inits),
-                                 ' '.join(str(v) for v in row_path)])
+                                 ' '.join(str(v) for v in path)])
         return EXIT_OK
     if cfg.which == 4:
         if cfg.n != 4:
@@ -445,8 +444,7 @@ def main(argv=None):
         return EXIT_GUARD
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, ZeroDivisionError,
-            gf2poly.OrderUndeterminedError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return EXIT_USAGE
 

@@ -202,36 +202,6 @@ class HamCycle:
         return f'HamCycle({self.vertices})'
 
 
-def walk_of_generator(g, n):
-    """Vertex walk of a generator polynomial g.
-
-    Step i is (x^i * g mod F) mod x^n read as a vertex, for
-    i = 0 .. 2^n - 2, where F is the all-ones polynomial of degree
-    2^n - 2.  Consecutive steps are always joined by an arc; the walk
-    is a Hamiltonian cycle exactly for valid cycle generators.
-    """
-    from . import gf2poly
-
-    _check_order(n)
-    f = int(gf2poly.build_F(n))
-    w = gf2poly._mod(gf2poly._val(g), f)
-    if w == 0:
-        raise ValueError('generator reduces to zero')
-    size = (1 << n) - 1
-    mask = (1 << n) - 1
-    top = f.bit_length() - 1
-    walk = []
-    for _ in range(size):
-        v = w & mask
-        if v == 0:
-            raise ValueError('walk leaves the nonzero vertex set')
-        walk.append(v)
-        w <<= 1
-        if w >> top:
-            w ^= f
-    return walk
-
-
 def cycle_to_sequence(cycle):
     """Arc labels around a cycle, starting from its stored first vertex."""
     verts = cycle.vertices

@@ -14,23 +14,9 @@ Three interchangeable text forms are supported:
 
 The module also builds the all-ones polynomial of degree 2**n - 2 (the
 product of every irreducible binary polynomial whose degree divides n
-and exceeds 1), expands rational power series, computes multiplicative
-orders, and counts irreducible polynomials by degree.
+and exceeds 1), expands rational power series, and counts irreducible
+polynomials by degree.
 """
-
-import math
-
-#: Trial-division effort allowed while factoring order multiples.  The
-#: default comfortably handles factor degrees up to about 20.
-DEFAULT_FACTOR_BUDGET = 1 << 20
-
-
-class OrderUndeterminedError(ArithmeticError):
-    """Raised when order() exhausts its factoring budget.
-
-    The computation refuses to guess: either the exact order is
-    returned or this error is raised.
-    """
 
 
 def _val(a):
@@ -173,11 +159,6 @@ def mul(a, b):
     return Gf2Poly(_mul(_val(a), _val(b)))
 
 
-def mul_mod(a, b, m):
-    """Product of a and b reduced modulo the nonzero polynomial m."""
-    return Gf2Poly(_mod(_mul(_val(a), _val(b)), _val(m)))
-
-
 def pow_mod(a, e, m):
     """a raised to the integer power e, modulo the nonzero polynomial m."""
     return Gf2Poly(_powmod(_val(a), e, _val(m)))
@@ -261,79 +242,6 @@ def expand_series(g, f, count):
             r ^= f
         r >>= 1
     return BitSequence(bits)
-
-
-def _distinct_factor_degrees(a):
-    """Degrees d for which a has an irreducible factor of degree d.
-
-    Uses the splitting of x^(2^d) - x: its gcd with a collects every
-    distinct factor of degree dividing d, so a fresh degree shows up
-    as a nontrivial gcd at its own d.
-    """
-    degrees = []
-    seen = 1
-    xq = 2  # the polynomial x
-    for d in range(1, _degree(a) + 1):
-        xq = _powmod(xq, 2, a)
-        g = _gcd(a, xq ^ 2)
-        if _degree(_divmod(g, _gcd(g, seen))[0]) > 0:
-            degrees.append(d)
-            seen = _mul(_divmod(seen, _gcd(seen, g))[0], g)
-        if sum(degrees) >= _degree(a):
-            break
-    return degrees
-
-
-def _factor_int(m, budget):
-    """Prime factorization of m by trial division, within budget tries."""
-    factors = {}
-    tried = 0
-    c = 2
-    while m > 1:
-        if c * c > m:
-            factors[m] = factors.get(m, 0) + 1
-            break
-        if tried >= budget:
-            raise OrderUndeterminedError(
-                f'order undetermined: factoring budget of {budget} trial '
-                f'divisors exhausted with cofactor {m} remaining')
-        tried += 1
-        while m % c == 0:
-            factors[c] = factors.get(c, 0) + 1
-            m //= c
-        c += 1 if c == 2 else 2
-    return factors
-
-
-def order(a, factor_budget=DEFAULT_FACTOR_BUDGET):
-    """Least lambda >= 1 such that a(x) divides x^lambda - 1.
-
-    Requires a(0) = 1.  A multiple of the order is assembled from the
-    degrees of a's irreducible factors (each contributes 2^d - 1) and a
-    power of two covering repeated factors; that multiple is factored
-    by trial division and reduced prime by prime.  If the integer
-    factorization exceeds `factor_budget` trial divisors, the explicit
-    OrderUndeterminedError is raised rather than a wrong answer
-    returned.
-    """
-    a = _val(a)
-    if not a & 1:
-        raise ValueError('order requires a nonzero constant term')
-    if a == 1:
-        return 1
-    m = 1
-    for d in _distinct_factor_degrees(a):
-        m = math.lcm(m, (1 << d) - 1)
-    # Repeated factors multiply the order by the next power of two at
-    # or above the multiplicity; a power covering deg(a) is enough and
-    # any excess twos are stripped in the descent below.
-    m <<= max(0, _degree(a) - 1).bit_length()
-    if _powmod(2, m, a) != 1:
-        raise ArithmeticError('internal error: order multiple is wrong')
-    for q in _factor_int(m, factor_budget):
-        while m % q == 0 and _powmod(2, m // q, a) == 1:
-            m //= q
-    return m
 
 
 def _mobius(n):

@@ -4,9 +4,8 @@ A BitSequence is one period of a periodic binary sequence.  The tools
 here recognize de Bruijn sequences of order n (period 2^n, every
 length-n window exactly once) and their modified counterparts (period
 2^n - 1, every nonzero window exactly once), convert between the two by
-removing or restoring one zero inside the longest zero run, measure
-linear complexity with the Berlekamp-Massey algorithm, and run the
-matching linear feedback shift register.
+removing or restoring one zero inside the longest zero run, and
+measure linear complexity with the Berlekamp-Massey algorithm.
 
 Minimal polynomials follow the characteristic convention: a sequence s
 is annihilated by f(x) = x^m + f_(m-1) x^(m-1) + ... + f_0 in the sense
@@ -151,33 +150,6 @@ def berlekamp_massey(s):
         if (c >> j) & 1:
             poly |= 1 << (length - j)
     return BmResult(length, Gf2Poly(poly))
-
-
-def lfsr_generate(charpoly, seed, count):
-    """First `count` bits of the LFSR run with the given recursion.
-
-    charpoly is the characteristic polynomial (degree m >= 1, constant
-    term 1) and seed supplies the first m bits.
-    """
-    f = gf2poly._val(charpoly)
-    m = f.bit_length() - 1
-    if m < 1:
-        raise ValueError('charpoly must have degree at least 1')
-    if not f & 1:
-        raise ValueError('charpoly must have constant term 1')
-    seed = BitSequence(seed) if not isinstance(seed, BitSequence) else seed
-    if seed.period != m:
-        raise ValueError(f'seed length {seed.period} != degree {m}')
-    if count < 1:
-        raise ValueError('count must be positive')
-    bits = list(seed.bits)
-    taps = [i for i in range(m) if (f >> i) & 1]
-    for k in range(count - m):
-        nxt = 0
-        for i in taps:
-            nxt ^= bits[k + i]
-        bits.append(nxt)
-    return BitSequence(bits[:count])
 
 
 def _windows(bits, n):

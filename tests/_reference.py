@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: polynomials are coefficient
-lists, multiplication is schoolbook, order finding is linear search,
-irreducibility is trial division, and spanning trees are counted by
-checking every edge subset.  Slow but easy to audit by hand.
+lists, multiplication is schoolbook, irreducibility is trial division,
+spanning trees are counted by checking every edge subset, and LFSR
+streams and generator walks are stepped one bit at a time.  Slow but
+easy to audit by hand.
 """
 
 import itertools
@@ -73,23 +74,6 @@ def ref_gcd(a, b):
     while b:
         a, b = b, ref_divmod(a, b)[1]
     return a
-
-
-def brute_order(a):
-    """Least k with x^k = 1 mod a, by stepping one power at a time."""
-    a = int(a)
-    if a <= 1 or not a & 1:
-        raise ValueError('order needs a nonconstant polynomial with a(0)=1')
-    r = 2 % a
-    k = 1
-    while r != 1:
-        r <<= 1
-        if r >> (a.bit_length() - 1):
-            r ^= a
-        k += 1
-        if k > 1 << 24:
-            raise RuntimeError('reference order search ran away')
-    return k
 
 
 def irreducibles_of_degree(n):
@@ -177,3 +161,55 @@ def ref_canonical_generator(cycle):
         elif low != target:
             raise AssertionError('regenerated walk disagrees with the cycle')
     return c
+
+
+def ref_lfsr_generate(charpoly, seed, count):
+    """First `count` bits of the LFSR run with the given recursion.
+
+    charpoly is the integer-coded characteristic polynomial (degree
+    m >= 1, constant term 1) and seed supplies the first m bits.
+    """
+    f = int(charpoly)
+    m = f.bit_length() - 1
+    if m < 1:
+        raise ValueError('charpoly must have degree at least 1')
+    if not f & 1:
+        raise ValueError('charpoly must have constant term 1')
+    bits = list(seed)
+    if len(bits) != m:
+        raise ValueError(f'seed length {len(bits)} != degree {m}')
+    if count < 1:
+        raise ValueError('count must be positive')
+    taps = [i for i in range(m) if (f >> i) & 1]
+    for k in range(count - m):
+        nxt = 0
+        for i in taps:
+            nxt ^= bits[k + i]
+        bits.append(nxt)
+    return tuple(bits[:count])
+
+
+def ref_walk_of_generator(g, n):
+    """Vertex walk of a generator: step i is (x^i * g mod F) mod x^n.
+
+    For i = 0 .. 2^n - 2, with F the all-ones polynomial of degree
+    2^n - 2.  Consecutive steps are always joined by an arc; the walk
+    is a Hamiltonian cycle exactly for valid cycle generators.
+    """
+    if n < 2:
+        raise ValueError('order n must be at least 2')
+    size = (1 << n) - 1      # vertex count, also the low-window mask
+    f = (1 << size) - 1      # F = 1 + x + ... + x^(2^n - 2)
+    w = ref_divmod(g, f)[1]
+    if w == 0:
+        raise ValueError('generator reduces to zero')
+    walk = []
+    for _ in range(size):
+        v = w & size
+        if v == 0:
+            raise ValueError('walk leaves the nonzero vertex set')
+        walk.append(v)
+        w <<= 1
+        if w >> (size - 1):
+            w ^= f
+    return walk

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from mdbs import cli, gamma, seqkit
+from mdbs import cli, gamma, greedy, seqkit
 
 FINAL_CYCLE = '1,2,11,9,13,5,10,4,7,14,3,6,12,8,15'
 DE_BRUIJN_16 = '0000100110101111'
@@ -330,6 +330,18 @@ def test_tables_greedy_walks(capsys):
         ['complement', '7 12', '7 1 13 5 10 11 9 2 4 8 15 14 3 6 12'],
         ['double', '5 10', '5 10 4 8 15 14 12 7 1 2 11 6 3 9 13'],
     ]
+
+
+def test_tables_greedy_walks_each_initial_vertex_once(capsys, monkeypatch):
+    calls = []
+    for name in ('prefer_complement', 'modified_prefer_double'):
+        walker = getattr(greedy, name)
+        monkeypatch.setattr(
+            greedy, name,
+            lambda n, v, walker=walker: calls.append(v) or walker(n, v))
+    assert cli.main(['tables', '--n', '5', '--which', '3']) == 0
+    capsys.readouterr()
+    assert sorted(calls) == sorted(2 * list(range(1, 32)))
 
 
 def test_tables_joined_cycles(capsys):
