@@ -68,7 +68,6 @@ def parse_args(argv=None):
 
     p = sub.add_parser('graph', help='export the arc-labeled digraph')
     p.add_argument('--n', type=int, required=True)
-    p.add_argument('--format', choices=['dot'], default='dot')
     p.add_argument('--highlight', type=_csv_ints, default=None,
                    help='comma-separated cycle whose arcs are bolded')
 
@@ -104,7 +103,6 @@ def parse_args(argv=None):
     p.add_argument('--limit', type=int, default=None)
     p.add_argument('--override-guard', action='store_true',
                    dest='override_guard')
-    p.add_argument('--format', choices=['jsonl'], default='jsonl')
 
     p = sub.add_parser('minpoly',
                        help='minimal-polynomial report of a cycle or sequence')
@@ -126,7 +124,6 @@ def parse_args(argv=None):
     p.add_argument('--which', type=int, required=True, choices=[1, 2, 3, 4])
     p.add_argument('--override-guard', action='store_true',
                    dest='override_guard')
-    p.add_argument('--format', choices=['csv'], default='csv')
 
     return RunConfig(**vars(parser.parse_args(argv)))
 
@@ -140,21 +137,17 @@ def _read_arg(value):
     return sys.stdin.read().strip() if value == '-' else value
 
 
-def _poly(p):
-    return gf2poly.to_text(p)
-
-
 def _report_record(cycle, report):
     return {
         'n': cycle.n,
         'vertices': list(cycle.vertices),
         'sequence': gamma.cycle_to_sequence(cycle).to_text(),
-        'c_h': _poly(report.c_h),
-        'd': _poly(report.d),
-        'f': _poly(report.f),
-        'f_star': _poly(report.f_star),
+        'c_h': gf2poly.to_text(report.c_h),
+        'd': gf2poly.to_text(report.d),
+        'f': gf2poly.to_text(report.f),
+        'f_star': gf2poly.to_text(report.f_star),
         'span': report.span,
-        'bm_check': _poly(report.bm_check),
+        'bm_check': gf2poly.to_text(report.bm_check),
     }
 
 
@@ -244,12 +237,12 @@ def cmd_join(cfg):
                               'vertices': list(cycle.vertices),
                               'sequence':
                                   gamma.cycle_to_sequence(cycle).to_text(),
-                              'min_poly': _poly(report.f)}))
+                              'min_poly': gf2poly.to_text(report.f)}))
         else:
             tree = ''.join(f'({r},{s})' for r, s in pairs)
             verts = ','.join(str(v) for v in cycle.vertices)
             print(f'{tree or "(identity)"} -> {verts} '
-                  f'minpoly={_poly(report.f)}')
+                  f'minpoly={gf2poly.to_text(report.f)}')
     if fmt == 'jsonl':
         print(json.dumps({'distinct_joined_cycles': len(distinct)}))
     else:
@@ -351,7 +344,7 @@ def cmd_verify(cfg):
         record = {'n': n, 'period': seq.period, 'de_bruijn': debruijn,
                   'modified_de_bruijn': mdb,
                   'linear_complexity': bm.linear_complexity,
-                  'minimal_polynomial': _poly(bm.minimal_polynomial),
+                  'minimal_polynomial': gf2poly.to_text(bm.minimal_polynomial),
                   'span_form': span_form, 'ok': ok}
     if fmt == 'jsonl':
         print(json.dumps(record))
@@ -408,7 +401,7 @@ def cmd_tables(cfg):
             writer.writerow([''.join(f'({r},{s})' for r, s in pairs),
                              ' '.join(str(v) for v in cycle.vertices),
                              gamma.cycle_to_sequence(cycle).to_text(),
-                             _poly(report.f)])
+                             gf2poly.to_text(report.f)])
         writer.writerow(['distinct', len(distinct)])
         return EXIT_OK
     return _usage(f'unknown table {cfg.which}')

@@ -4,7 +4,8 @@ A polynomial a_d x^d + ... + a_1 x + a_0 is stored bit-packed in a
 nonnegative Python integer: bit i holds the coefficient of x^i, so the
 polynomial equals the integer A = sum(a_i * 2**i).  Addition is XOR,
 and every nonzero polynomial is monic, which keeps gcd normalization
-trivial.
+trivial.  Division jumps from one quotient term to the next; the
+derivative, reciprocal and text forms act on the whole int at once.
 
 Three interchangeable text forms are supported:
 
@@ -47,20 +48,13 @@ def _mul(a, b):
 
 
 def _divmod(a, b):
+    """Long division that jumps straight to each nonzero quotient term."""
     if b == 0:
         raise ZeroDivisionError('division by zero polynomial')
-    m = _degree(a)
-    n = _degree(b)
-    if m < n:
-        return 0, a
     q = 0
-    b <<= m - n
-    for i in range(m - n + 1):
-        q <<= 1
-        if (a >> (m - i)) & 1:
-            a ^= b
-            q ^= 1
-        b >>= 1
+    while (shift := _degree(a) - _degree(b)) >= 0:
+        a ^= b << shift
+        q |= 1 << shift
     return q, a
 
 
@@ -89,13 +83,7 @@ def _powmod(a, e, m):
 
 def _derivative(a):
     """Formal derivative: keep odd-exponent terms, drop one power of x."""
-    d = 0
-    i = 1
-    while (1 << i) <= a:
-        if (a >> i) & 1:
-            d |= 1 << (i - 1)
-        i += 2
-    return d
+    return (a >> 1) & (4 ** a.bit_length() - 1) // 3  # even bits: 0b0101...01
 
 
 class Gf2Poly:
@@ -196,12 +184,7 @@ def reciprocal(a):
     a = _val(a)
     if not a & 1:
         raise ValueError('reciprocal requires a nonzero constant term')
-    d = _degree(a)
-    r = 0
-    for i in range(d + 1):
-        if (a >> i) & 1:
-            r |= 1 << (d - i)
-    return Gf2Poly(r)
+    return Gf2Poly(int(format(a, 'b')[::-1], 2))
 
 
 def build_F(n):
@@ -307,11 +290,10 @@ def parse(text):
 def _to_symbolic(a):
     if a == 0:
         return '0'
-    terms = []
-    for i in range(_degree(a), -1, -1):
-        if (a >> i) & 1:
-            terms.append('1' if i == 0 else 'x' if i == 1 else f'x^{i}')
-    return '+'.join(terms)
+    d = _degree(a)
+    powers = (d - k for k, bit in enumerate(format(a, 'b')) if bit == '1')
+    return '+'.join('1' if i == 0 else 'x' if i == 1 else f'x^{i}'
+                    for i in powers)
 
 
 def to_text(a, fmt='symbolic'):

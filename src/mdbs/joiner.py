@@ -13,7 +13,8 @@ Because two different spanning trees occasionally splice their way to
 the same cycle, the per-tree stream is emitted as-is (tagged with the
 pairs used) and any deduplication under rotation is left to the
 caller.  Exhaustive tree enumeration is brute force over edge subsets
-and is guarded above MAX_EXHAUSTIVE_EDGES edges.
+and is guarded above MAX_EXHAUSTIVE_EDGES edges.  A tree's joins and
+join_all's lowest-pair-first joins go through one merge routine.
 """
 
 import itertools
@@ -189,21 +190,27 @@ def join_pair(cycle_a, cycle_b, r, s):
     return a[:ia] + b[ib:] + b[:ib] + a[ia:]
 
 
-def _merge_tree(dec, graph, tree):
-    """Apply one spanning tree's joins and rotate to a fixed start."""
+def _merge(dec, pairs):
+    """Splice each (r, s) whose ends lie on different current cycles.
+
+    Only the absorbed cycle is relabelled; the joined cycle is rotated
+    to start at the decomposition's first vertex.
+    """
     parts = [list(c) for c in dec.cycles]
     locate = {v: i for i, c in enumerate(parts) for v in c}
-    for idx in tree:
-        _, _, r, s = graph.edges[idx]
-        ia, ib = locate[r], locate[s]
-        merged = join_pair(parts[ia], parts[ib], r, s)
-        parts[ia] = merged
-        parts[ib] = []
-        for v in merged:
+    for r, s in pairs:
+        ia, ib = locate.get(r), locate.get(s)
+        if ia is None or ib is None or ia == ib:
+            continue
+        parts[ia] = join_pair(parts[ia], parts[ib], r, s)
+        for v in parts[ib]:
             locate[v] = ia
-    final = next(p for p in parts if p)
-    start = final.index(dec.cycles[0][0])
-    return HamCycle(final[start:] + final[:start], dec.n)
+        parts[ib] = None
+    live = [p for p in parts if p]
+    if len(live) > 1:
+        raise ValueError('cycles admit no cross complementary pair')
+    start = live[0].index(dec.cycles[0][0])
+    return HamCycle(live[0][start:] + live[0][:start], dec.n)
 
 
 def enumerate_joined_cycles(dec):
@@ -225,7 +232,7 @@ def enumerate_joined_cycles(dec):
     def _stream():
         for tree in trees:
             pairs = tuple(graph.edges[idx][2:] for idx in tree)
-            yield pairs, _merge_tree(dec, graph, tree)
+            yield pairs, _merge(dec, pairs)
 
     return _stream()
 
@@ -233,25 +240,9 @@ def enumerate_joined_cycles(dec):
 def join_all(dec):
     """Join a whole decomposition into one cycle, lowest pair first.
 
-    At each round the smallest vertex r whose complement lies on a
-    different current cycle is joined; the result is rotated to start
-    at the decomposition's first vertex.
+    Components only merge, so one ascending scan of (r, 2^n - 1 - r)
+    joins the smallest cross pair of every round; the result starts at
+    the decomposition's first vertex.
     """
     size = (1 << dec.n) - 1
-    parts = [list(c) for c in dec.cycles]
-    while len(parts) > 1:
-        locate = {v: i for i, c in enumerate(parts) for v in c}
-        for r in range(1, size + 1):
-            s = size - r
-            ia = locate.get(r)
-            ib = locate.get(s)
-            if ia is not None and ib is not None and ia != ib:
-                break
-        else:
-            raise ValueError('cycles admit no cross complementary pair')
-        merged = join_pair(parts[ia], parts[ib], r, s)
-        parts = [p for j, p in enumerate(parts) if j not in (ia, ib)]
-        parts.append(merged)
-    final = parts[0]
-    start = final.index(dec.cycles[0][0])
-    return HamCycle(final[start:] + final[:start], dec.n)
+    return _merge(dec, ((r, size - r) for r in range(1, size)))

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: polynomials are coefficient
 lists, multiplication is schoolbook, irreducibility is trial division,
-spanning trees are counted by checking every edge subset, and LFSR
-streams and generator walks are stepped one bit at a time.  Slow but
-easy to audit by hand.
+spanning trees are counted by checking every edge subset, LFSR
+streams and generator walks are stepped one bit at a time, and cycles
+are joined one smallest cross pair per round.  Slow but easy to audit
+by hand.
 """
 
 import itertools
@@ -74,6 +75,20 @@ def ref_gcd(a, b):
     while b:
         a, b = b, ref_divmod(a, b)[1]
     return a
+
+
+def ref_derivative(a):
+    """Formal derivative: the coefficient of x^i is (i + 1) * a_(i+1)."""
+    bits = to_list(a)
+    return to_int([bits[i + 1] * ((i + 1) % 2) for i in range(len(bits) - 1)])
+
+
+def ref_reciprocal(a):
+    """Coefficient list read backwards; requires a(0) = 1."""
+    bits = to_list(a)
+    if not bits or not bits[0]:
+        raise ValueError('reference reciprocal needs a nonzero constant term')
+    return to_int(bits[::-1])
 
 
 def irreducibles_of_degree(n):
@@ -213,3 +228,31 @@ def ref_walk_of_generator(g, n):
         if w >> (size - 1):
             w ^= f
     return walk
+
+
+def ref_join_all(cycles, n):
+    """Join disjoint cycles into one, smallest cross pair per round.
+
+    Each round rescans r = 1, 2, ... for the first r whose complement
+    s = 2^n - 1 - r lies on a different current cycle, then splices the
+    two cycles there: the result runs the first cycle up to r, the
+    second from s all the way round, and the first again from r.  The
+    joined cycle is rotated to start at the first cycle's first vertex.
+    """
+    size = (1 << n) - 1
+    parts = [list(c) for c in cycles]
+    while len(parts) > 1:
+        locate = {v: i for i, c in enumerate(parts) for v in c}
+        for r in range(1, size + 1):
+            ia, ib = locate.get(r), locate.get(size - r)
+            if ia is not None and ib is not None and ia != ib:
+                break
+        else:
+            raise ValueError('cycles admit no cross complementary pair')
+        a, b = parts[ia], parts[ib]
+        i, k = a.index(r), b.index(size - r)
+        merged = a[:i] + b[k:] + b[:k] + a[i:]
+        parts = [p for j, p in enumerate(parts) if j not in (ia, ib)]
+        parts.append(merged)
+    start = parts[0].index(cycles[0][0])
+    return parts[0][start:] + parts[0][:start]

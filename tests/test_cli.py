@@ -30,6 +30,10 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(['graph']) == 2
     assert cli.main(['tables', '--n', '4', '--which', '9']) == 2
     assert cli.main(['graph', '--n', '4', '--highlight', 'a,b']) == 2
+    assert cli.main(['graph', '--n', '4', '--format', 'dot']) == 2
+    assert cli.main(['enumerate', '--n', '4', '--format', 'jsonl']) == 2
+    assert cli.main(['tables', '--n', '4', '--which', '1',
+                     '--format', 'csv']) == 2
     capsys.readouterr()
     assert cli.main(['greedy', '--n', '4']) == 2
     assert 'greedy needs' in capsys.readouterr().err

@@ -208,6 +208,22 @@ def test_join_all_worked_and_random():
         assert seqkit.is_modified_de_bruijn(gamma.cycle_to_sequence(cycle), n)
 
 
+def test_join_all_matches_round_based_reference():
+    for n in range(3, 13):
+        for seed in range(4):
+            dec = greedy.psi_decompose(n, seed=seed)
+            assert (list(joiner.join_all(dec).vertices)
+                    == ref.ref_join_all(dec.cycles, n))
+
+
+def test_join_all_without_cross_pair_raises():
+    lonely = PsiDecomposition(4, [(5, 10), (9, 2, 4, 8, 15, 14, 3, 6, 12, 7)])
+    with pytest.raises(ValueError, match='no cross complementary pair'):
+        joiner.join_all(lonely)
+    with pytest.raises(ValueError, match='no cross complementary pair'):
+        ref.ref_join_all(lonely.cycles, 4)
+
+
 def test_join_all_single_cycle_is_identity():
     dec = greedy.psi_decompose(4)
     cycle = joiner.join_all(dec)

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from mdbs import cli
+from mdbs import cli, greedy, joiner
 
 FINAL_CYCLE = '1,2,11,9,13,5,10,4,7,14,3,6,12,8,15'
 MODIFIED_15 = '000100110101111'
@@ -88,3 +88,23 @@ def test_stdout_matches_golden_digest(argv, capsys):
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+# The joined order-10 cycle of seed 0: c_H, d, f and f* have degrees
+# near 1020, so gf2poly's kernels run on multi-word ints.
+LARGE = {
+    'text': (
+        0, '8091a9798f62b2c693ef1a40b3e99648874a715660b1acfca11e0a12d8009f7c'),
+    'jsonl': (
+        0, 'af03b063b6a8d3f529c299eb94ac7436154b49526595a822962e160cf7676dba'),
+}
+
+
+@pytest.mark.parametrize('fmt', sorted(LARGE))
+def test_large_order_minpoly_matches_golden_digest(fmt, capsys):
+    cycle = joiner.join_all(greedy.psi_decompose(10, seed=0))
+    verts = ','.join(str(v) for v in cycle.vertices)
+    code = cli.main(['minpoly', '--n', '10', '--cycle', verts,
+                     '--format', fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == LARGE[fmt]
