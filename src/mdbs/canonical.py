@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import gf2poly
 from .gf2poly import Gf2Poly, build_F
 from .gamma import cycle_to_sequence, enumerate_hamiltonian
-from .seqkit import berlekamp_massey
+from .seqkit import berlekamp_massey, shift
 
 
 class MinPolyReport(NamedTuple):
@@ -43,15 +43,13 @@ class MinPolyReport(NamedTuple):
 def canonical_generator(cycle):
     """The unique generator with constant term 1 of a Hamiltonian cycle.
 
-    The low bits of the vertices (the labels of the arcs into them),
-    from n - 1 places before the all-ones vertex and read highest power
-    first, are c_H * (x + 1).  Returns a polynomial of degree
-    2^n - n - 2 with constant term 1.
+    The arc labels, from the arc into the vertex n - 1 places before
+    the all-ones vertex and read highest power first, are c_H * (x + 1).
+    Returns a polynomial of degree 2^n - n - 2 with constant term 1.
     """
-    verts = cycle.vertices
-    start = verts.index((1 << cycle.n) - 1) + 1 - cycle.n
-    labels = ''.join('01'[b & 1] for b in verts[start:] + verts[:start])
-    c_h, rem = gf2poly.div_rem(int(labels, 2), 3)
+    top = cycle.vertices.index((1 << cycle.n) - 1)
+    labels = shift(cycle_to_sequence(cycle), top - cycle.n)
+    c_h, rem = gf2poly.div_rem(labels.value, 3)
     if rem:
         raise RuntimeError('internal error: labels have odd weight')
     return c_h

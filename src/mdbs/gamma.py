@@ -205,32 +205,29 @@ class HamCycle:
 def cycle_to_sequence(cycle):
     """Arc labels around a cycle, starting from its stored first vertex."""
     verts = cycle.vertices
-    return BitSequence(b & 1 for b in verts[1:] + verts[:1])
+    labels = ''.join('01'[v & 1] for v in verts[1:] + verts[:1])
+    return BitSequence.packed(int(labels, 2), len(verts))
 
 
 def cycle_from_sequence(s, n=None):
     """Rebuild the Hamiltonian cycle whose arc labels are s.
 
-    Inverse of cycle_to_sequence: vertex i is the XOR of the masks
-    ((2^n - 1) << k) mod 2^n selected by the n labels preceding
-    position i, so the first vertex emits label s[0].
+    Inverse of cycle_to_sequence, by one walk that takes the arc labeled
+    s[i] out of vertex i.  Each step doubles the vertex, so walking the
+    last n labels from 0 first lands on the vertex that emits s[0].
     """
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
     if n is None:
         n = (s.period + 1).bit_length() - 1
     _check_order(n)
     size = (1 << n) - 1
     if s.period != size:
         raise ValueError(f'period {s.period} != {size} for order {n}')
-    masks = [(size << k) % (1 << n) for k in range(n)]
-    verts = []
-    for i in range(size):
-        v = 0
-        for k in range(n):
-            if s.bits[(i - 1 - k) % size]:
-                v ^= masks[k]
+    text = s.to_text()
+    v, verts = 0, []
+    for label in map(int, text[-n:] + text[:-1]):
+        v = _targets(v, size)[label]
         verts.append(v)
-    return HamCycle(verts, n)
+    return HamCycle(verts[n - 1:], n)
 
 
 def enumerate_hamiltonian(n, limit=None, override_guard=False):

@@ -216,15 +216,14 @@ def expand_series(g, f, count):
         raise ValueError('series expansion requires deg(g) < deg(f)')
     if count < 1:
         raise ValueError('count must be positive')
-    bits = []
-    r = g
+    value, r = 0, g
     for _ in range(count):
         bit = r & 1
-        bits.append(bit)
+        value = value << 1 | bit
         if bit:
             r ^= f
         r >>= 1
-    return BitSequence(bits)
+    return BitSequence.packed(value, count)
 
 
 def _mobius(n):

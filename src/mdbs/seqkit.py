@@ -1,11 +1,12 @@
 """Binary sequence utilities for periodic and window-complete sequences.
 
-A BitSequence is one period of a periodic binary sequence.  The tools
-here recognize de Bruijn sequences of order n (period 2^n, every
-length-n window exactly once) and their modified counterparts (period
-2^n - 1, every nonzero window exactly once), convert between the two by
-removing or restoring one zero inside the longest zero run, and
-measure linear complexity with the Berlekamp-Massey algorithm.
+A BitSequence is one period of a periodic binary sequence, packed into
+an int.  The tools here recognize de Bruijn sequences of order n
+(period 2^n, every length-n window exactly once) and their modified
+counterparts (period 2^n - 1, every nonzero window exactly once),
+convert between the two by removing or restoring one zero inside the
+longest zero run, and measure linear complexity with the
+Berlekamp-Massey algorithm.
 
 Minimal polynomials follow the characteristic convention: a sequence s
 is annihilated by f(x) = x^m + f_(m-1) x^(m-1) + ... + f_0 in the sense
@@ -20,9 +21,12 @@ from .gf2poly import Gf2Poly
 
 
 class BitSequence:
-    """One period of a binary sequence, stored as a tuple of 0/1 ints."""
+    """One period of a binary sequence, packed into an int.
 
-    __slots__ = ('bits',)
+    `value` holds the first bit most significant and `period` keeps any
+    leading zeros.  `==` with a 0/1 tuple and the hash follow the bits."""
+
+    __slots__ = ('value', 'period')
 
     def __init__(self, bits):
         if isinstance(bits, str):
@@ -32,17 +36,28 @@ class BitSequence:
             raise ValueError('a sequence needs at least one bit')
         if any(b not in (0, 1) for b in bits):
             raise ValueError('sequence bits must be 0 or 1')
-        object.__setattr__(self, 'bits', bits)
+        value = int(''.join('01'[b] for b in bits), 2)
+        object.__setattr__(self, 'value', value)
+        object.__setattr__(self, 'period', len(bits))
+
+    @classmethod
+    def packed(cls, value, period):
+        """Unchecked: `value` must lie in 0 .. 2^period - 1, period >= 1."""
+        s = object.__new__(cls)
+        object.__setattr__(s, 'value', value)
+        object.__setattr__(s, 'period', period)
+        return s
 
     def __setattr__(self, name, v):
         raise AttributeError('BitSequence is immutable')
 
     @property
-    def period(self):
-        return len(self.bits)
+    def bits(self):
+        """The period as a tuple of 0/1 ints."""
+        return tuple(map(int, format(self.value, f'0{self.period}b')))
 
     def __len__(self):
-        return len(self.bits)
+        return self.period
 
     def __iter__(self):
         return iter(self.bits)
@@ -51,8 +66,8 @@ class BitSequence:
         return self.bits[i]
 
     def __eq__(self, other):
-        if isinstance(other, BitSequence):
-            return self.bits == other.bits
+        if other.__class__ is self.__class__:
+            return (self.value, self.period) == (other.value, other.period)
         if isinstance(other, tuple):
             return self.bits == other
         return NotImplemented
@@ -62,10 +77,11 @@ class BitSequence:
 
     def to_text(self, fmt='compact'):
         """Render as '0101...' (compact) or '(0,1,0,1,...)' (tuple)."""
+        text = format(self.value, f'0{self.period}b')
         if fmt == 'compact':
-            return ''.join(str(b) for b in self.bits)
+            return text
         if fmt == 'tuple':
-            return '(' + ','.join(str(b) for b in self.bits) + ')'
+            return '(' + ','.join(text) + ')'
         raise ValueError(f'unknown sequence format {fmt!r}')
 
     def __repr__(self):
@@ -100,24 +116,21 @@ def parse_sequence(text):
 
 def shift(s, k):
     """Left-rotate one period of s by k positions."""
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
-    k %= s.period
-    return BitSequence(s.bits[k:] + s.bits[:k])
+    p = s.period
+    k %= p
+    return BitSequence.packed(
+        (s.value << k | s.value >> (p - k)) & ((1 << p) - 1), p)
 
 
 def canonical_rotation(s):
     """Lexicographically least rotation of s, for rotation-blind tests."""
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
-    best = min(s.bits[k:] + s.bits[:k] for k in range(s.period))
-    return BitSequence(best)
+    best = min(shift(s, k).value for k in range(s.period))
+    return BitSequence.packed(best, s.period)
 
 
 def same_cycle(a, b):
     """True when a and b are rotations of each other."""
-    a = BitSequence(a) if not isinstance(a, BitSequence) else a
-    b = BitSequence(b) if not isinstance(b, BitSequence) else b
-    return (a.period == b.period
-            and canonical_rotation(a).bits == canonical_rotation(b).bits)
+    return a.period == b.period and a.to_text() in b.to_text() * 2
 
 
 def berlekamp_massey(s):
@@ -127,15 +140,15 @@ def berlekamp_massey(s):
     any sequence of linear complexity at most the period.  The
     connection polynomial is built with the classic discrepancy update
     and then coefficient-reversed into the monic characteristic form.
+    Bit j of r >> (top - i) is bit i - j of the doubled period, so each
+    discrepancy is the parity of that word ANDed with c.
     """
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
-    bits = s.bits + s.bits
+    top = 2 * s.period - 1
+    r = s.value << s.period | s.value
     c, b = 1, 1  # connection polynomials, bit j = coefficient of D^j
     length, m = 0, 1
-    for i, bit in enumerate(bits):
-        d = bit
-        for j in range(1, length + 1):
-            d ^= ((c >> j) & 1) & bits[i - j]
+    for i in range(top + 1):
+        d = (c & (r >> (top - i))).bit_count() & 1
         if d == 0:
             m += 1
         elif 2 * length <= i:
@@ -145,55 +158,46 @@ def berlekamp_massey(s):
         else:
             c ^= b << m
             m += 1
-    poly = 0
-    for j in range(length + 1):
-        if (c >> j) & 1:
-            poly |= 1 << (length - j)
+    poly = int(format(c, f'0{length + 1}b')[::-1], 2)
     return BmResult(length, Gf2Poly(poly))
 
 
-def _windows(bits, n):
+def _windows(s, n):
     """All cyclic length-n windows as integers, first bit most significant."""
-    period = len(bits)
-    doubled = bits + bits[:n]
-    out = []
-    for i in range(period):
-        w = 0
-        for j in range(n):
-            w = (w << 1) | doubled[i + j]
-        out.append(w)
-    return out
+    text = s.to_text() * 2
+    return [int(text[i:i + n], 2) for i in range(s.period)]
 
 
 def is_de_bruijn(s, n):
     """True when s has period 2^n and every n-window appears exactly once."""
     if n < 2:
         raise ValueError('window order must be at least 2')
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
     if s.period != 1 << n:
         return False
-    return len(set(_windows(list(s.bits), n))) == s.period
+    return len(set(_windows(s, n))) == s.period
 
 
 def is_modified_de_bruijn(s, n):
     """True when s has period 2^n - 1 and every nonzero n-window appears once."""
     if n < 2:
         raise ValueError('window order must be at least 2')
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
     if s.period != (1 << n) - 1:
         return False
-    windows = _windows(list(s.bits), n)
+    windows = _windows(s, n)
     return 0 not in windows and len(set(windows)) == s.period
 
 
-def _zero_run_start(bits, run):
-    """Start index of the unique cyclic run of exactly `run` zeros."""
-    period = len(bits)
-    for q in range(period):
-        if (bits[q - 1] == 1
-                and all(bits[(q + j) % period] == 0 for j in range(run))):
-            return q
-    raise ValueError('required zero run not found')
+def _from_zero_run(s, run):
+    """Value of s rotated to start at its longest run, of `run` zeros.
+
+    The rotation begins with a zero, so callers drop or add a leading
+    zero by changing only the period.
+    """
+    text = s.to_text()
+    q = (text[-1] + text + text[:run]).find('1' + '0' * run)
+    if q < 0:
+        raise ValueError('required zero run not found')
+    return shift(s, q).value
 
 
 def modify(s, n):
@@ -203,12 +207,9 @@ def modify(s, n):
     n) starts the period; the result keeps that rotation and is the
     modified sequence of period 2^n - 1.
     """
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
     if not is_de_bruijn(s, n):
         raise ValueError(f'input is not a de Bruijn sequence of order {n}')
-    q = _zero_run_start(list(s.bits), n)
-    rotated = shift(s, q)
-    return BitSequence(rotated.bits[1:])
+    return BitSequence.packed(_from_zero_run(s, n), s.period - 1)
 
 
 def debruijnize(s, n):
@@ -217,13 +218,10 @@ def debruijnize(s, n):
     Inverse of modify up to rotation: the longest zero run (length
     n - 1) is rotated to the front and one zero is prepended.
     """
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
     if not is_modified_de_bruijn(s, n):
         raise ValueError(
             f'input is not a modified de Bruijn sequence of order {n}')
-    q = _zero_run_start(list(s.bits), n - 1)
-    rotated = shift(s, q)
-    return BitSequence((0,) + rotated.bits)
+    return BitSequence.packed(_from_zero_run(s, n - 1), s.period + 1)
 
 
 def possible_spans(n):
@@ -253,14 +251,12 @@ def check_de_bruijn_span_form(s, n):
     """
     if n < 3:
         raise ValueError('span-form check requires n >= 3')
-    s = BitSequence(s) if not isinstance(s, BitSequence) else s
     if not is_de_bruijn(s, n):
         raise ValueError(f'input is not a de Bruijn sequence of order {n}')
     result = berlekamp_massey(s)
     z = result.linear_complexity
     if not (1 << (n - 1)) + 1 <= z <= (1 << n):
         return False
-    binomial = Gf2Poly(1)
-    for _ in range(z):
-        binomial = gf2poly.mul(binomial, 3)  # multiply by x + 1
-    return result.minimal_polynomial == binomial
+    # The divisors of x^(2^n) + 1 = (x + 1)^(2^n) are the powers of x + 1.
+    _, rem = gf2poly.div_rem(1 << (1 << n) | 1, result.minimal_polynomial)
+    return not rem

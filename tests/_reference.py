@@ -3,8 +3,10 @@
 Everything here is deliberately naive: polynomials are coefficient
 lists, multiplication is schoolbook, irreducibility is trial division,
 spanning trees are counted by checking every edge subset, LFSR
-streams and generator walks are stepped one bit at a time, and cycles
-are joined one smallest cross pair per round.  Slow but easy to audit
+streams, generator walks and Berlekamp-Massey discrepancies are
+stepped one bit at a time, cycles are rebuilt from their labels by
+XORing one mask per label, and cycles are joined one smallest cross
+pair per round.  Slow but easy to audit
 by hand.
 """
 
@@ -139,6 +141,54 @@ def cyclic_windows(bits, n):
             w = (w << 1) | bits[(i + j) % period]
         out.append(w)
     return out
+
+
+def ref_berlekamp_massey(bits):
+    """(linear complexity, integer-coded minimal polynomial) of a period.
+
+    Two periods of the 0/1 tuple are processed; each discrepancy is
+    summed one tap at a time, and the connection polynomial is
+    coefficient-reversed into the characteristic form at the end.
+    """
+    bits = tuple(bits) * 2
+    c, b = 1, 1  # connection polynomials, bit j = coefficient of D^j
+    length, m = 0, 1
+    for i, bit in enumerate(bits):
+        d = bit
+        for j in range(1, length + 1):
+            d ^= ((c >> j) & 1) & bits[i - j]
+        if d == 0:
+            m += 1
+        elif 2 * length <= i:
+            c, b = c ^ (b << m), c
+            length = i + 1 - length
+            m = 1
+        else:
+            c ^= b << m
+            m += 1
+    poly = 0
+    for j in range(length + 1):
+        if (c >> j) & 1:
+            poly |= 1 << (length - j)
+    return length, poly
+
+
+def ref_cycle_from_sequence(bits, n):
+    """Vertices of the cycle whose arc labels are the 0/1 tuple `bits`.
+
+    Vertex i is the XOR of the masks ((2^n - 1) << k) mod 2^n selected
+    by the n labels preceding position i, so vertex 0 emits bits[0].
+    """
+    size = (1 << n) - 1
+    masks = [(size << k) % (1 << n) for k in range(n)]
+    verts = []
+    for i in range(len(bits)):
+        v = 0
+        for k in range(n):
+            if bits[(i - 1 - k) % len(bits)]:
+                v ^= masks[k]
+        verts.append(v)
+    return tuple(verts)
 
 
 def ref_canonical_generator(cycle):

@@ -122,7 +122,8 @@ def test_report_internal_consistency():
         bm_series = seqkit.berlekamp_massey(series)
         assert bm_series.minimal_polynomial == report.f_star
         arcs = gamma.cycle_to_sequence(cycle)
-        assert seqkit.same_cycle(arcs, tuple(reversed(series.bits)))
+        assert seqkit.same_cycle(
+            arcs, seqkit.BitSequence(tuple(reversed(series.bits))))
         assert report.span in seqkit.possible_spans(cycle.n)
         _assert_squarefree_factor_degrees(report.f, cycle.n)
     del rng

@@ -149,8 +149,9 @@ def test_cycle_to_sequence_known_rows():
     assert gamma.cycle_to_sequence(cycle) \
         == (1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0)
     cycle = HamCycle((1, 13, 5, 10, 11, 9, 2, 4, 7, 14, 3, 6, 12, 8, 15), 4)
-    assert seqkit.same_cycle(gamma.cycle_to_sequence(cycle),
-                             (0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1))
+    assert seqkit.same_cycle(
+        gamma.cycle_to_sequence(cycle),
+        seqkit.BitSequence((0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)))
 
 
 def test_cycle_sequences_are_window_complete():
@@ -244,4 +245,5 @@ def test_walk_matches_series_expansion_reversal():
     cycle = HamCycle(ref.ref_walk_of_generator(g, 4), 4)
     arcs = gamma.cycle_to_sequence(cycle)
     series = gf2poly.expand_series(g, gf2poly.build_F(4), 15)
-    assert seqkit.same_cycle(arcs, tuple(reversed(series.bits)))
+    assert seqkit.same_cycle(
+        arcs, seqkit.BitSequence(tuple(reversed(series.bits))))

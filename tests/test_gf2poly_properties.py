@@ -32,6 +32,12 @@ def test_div_rem_matches_long_division(a, b):
     assert (int(q), int(r)) == ref.ref_divmod(a, b)
 
 
+@kernels
+@given(polys() | st.just(0), polys() | st.just(0))
+def test_mul_matches_schoolbook(a, b):
+    assert int(gf2poly.mul(a, b)) == ref.ref_mul(a, b)
+
+
 @settings(kernels, max_examples=15)
 @given(polys(), polys())
 def test_gcd_matches_euclid(a, b):

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from mdbs import cli, greedy, joiner
+from mdbs import cli, gamma, greedy, joiner, seqkit
 
 FINAL_CYCLE = '1,2,11,9,13,5,10,4,7,14,3,6,12,8,15'
 MODIFIED_15 = '000100110101111'
@@ -108,3 +108,33 @@ def test_large_order_minpoly_matches_golden_digest(fmt, capsys):
                      '--format', fmt])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == LARGE[fmt]
+
+
+# --sequence runs on the same joined order-10 cycle: its labels (period
+# 1023) and their de Bruijn form (period 1024, which also reaches the
+# span-form check), so Berlekamp-Massey runs over multi-word ints.
+MULTIWORD = {
+    ('minpoly', 'labels', 'text'): (
+        0, '8091a9798f62b2c693ef1a40b3e99648874a715660b1acfca11e0a12d8009f7c'),
+    ('minpoly', 'labels', 'jsonl'): (
+        0, 'af03b063b6a8d3f529c299eb94ac7436154b49526595a822962e160cf7676dba'),
+    ('verify', 'labels', 'text'): (
+        0, '577cc35c554c7a06341dc02559aa93b9f28aec801b6c9a73cd2ae1cc7db3c001'),
+    ('verify', 'labels', 'jsonl'): (
+        0, '41aae34e5dfb1716512555e0fadae5e1f832336590ac6c973993e23b2c9060e5'),
+    ('verify', 'de_bruijn', 'text'): (
+        0, 'cb431de672dd3ede34c3922ed25843a921fe6b8471b4be48af84c71c90cbd143'),
+    ('verify', 'de_bruijn', 'jsonl'): (
+        0, 'e9a6520e96bd613c019e63bad8ddf87cafd432c4bda70e3ccddcebe2dd637de7'),
+}
+
+
+@pytest.mark.parametrize('key', sorted(MULTIWORD), ids='-'.join)
+def test_multiword_sequence_matches_golden_digest(key, capsys):
+    command, which, fmt = key
+    labels = gamma.cycle_to_sequence(
+        joiner.join_all(greedy.psi_decompose(10, seed=0)))
+    seq = labels if which == 'labels' else seqkit.debruijnize(labels, 10)
+    code = cli.main([command, '--sequence', seq.to_text(), '--format', fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MULTIWORD[key]
