@@ -339,7 +339,7 @@ def cmd_verify(cfg):
         bm = seqkit.berlekamp_massey(seq)
         span_form = None
         if debruijn and n >= 3:
-            span_form = seqkit.check_de_bruijn_span_form(seq, n)
+            span_form = seqkit.has_span_form(bm, n)
         ok = debruijn or mdb
         record = {'n': n, 'period': seq.period, 'de_bruijn': debruijn,
                   'modified_de_bruijn': mdb,
@@ -370,9 +370,11 @@ def cmd_tables(cfg):
                 cfg.n, override_guard=cfg.override_guard):
             c_h = canonical.canonical_generator(cycle)
             if gf2poly.gcd(c_h, f) == 1:
-                series = gf2poly.expand_series(c_h, f, (1 << cfg.n) - 1)
+                # c_H / F = c_H (x + 1) / (x^N + 1), so its first N series
+                # terms are the coefficients of c_H (x + 1), lowest first.
+                labels = int(c_h) << 1 ^ int(c_h)
                 rows.append((gf2poly.to_text(c_h, 'binary'),
-                             series.to_text()))
+                             format(labels, f'0{(1 << cfg.n) - 1}b')[::-1]))
         for row in sorted(rows):
             writer.writerow(row)
         return EXIT_OK

@@ -143,6 +143,18 @@ def build(n):
     return GammaGraph(n, *zip(*arcs))
 
 
+def _is_closed_walk(verts, size):
+    """True when verts are ints in 1..size, each followed by an arc target.
+
+    Whole-tuple test, wrap-around included: b is a target of a exactly
+    when ((a << 1) ^ b) & size is 0 (double arc) or size (complement).
+    """
+    if set(map(type, verts)) != {int} or min(verts) < 1 or max(verts) > size:
+        return False
+    follow = verts[1:] + verts[:1]
+    return {((a << 1) ^ b) & size for a, b in zip(verts, follow)} <= {0, size}
+
+
 class HamCycle:
     """A Hamiltonian cycle, stored in a fixed rotation.
 
@@ -165,11 +177,14 @@ class HamCycle:
                 f'cycle length {len(vertices)} != {size} for order {n}')
         if len(set(vertices)) != size:
             raise ValueError('cycle vertices are not distinct')
-        for i, a in enumerate(vertices):
-            _check_vertex(a, n)
-            b = vertices[(i + 1) % size]
-            if b not in _targets(a, size):
-                raise ValueError(f'({a}, {b}) is not an arc at order {n}')
+        if not _is_closed_walk(vertices, size):
+            # Name the first offender as a per-vertex pass would.  Only
+            # vertices of an int subclass, such as bool, get through.
+            for i, a in enumerate(vertices):
+                _check_vertex(a, n)
+                b = vertices[(i + 1) % size]
+                if b not in _targets(a, size):
+                    raise ValueError(f'({a}, {b}) is not an arc at order {n}')
         top = vertices.index(size)
         object.__setattr__(self, 'vertices', vertices)
         object.__setattr__(self, 'n', n)

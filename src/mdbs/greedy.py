@@ -22,30 +22,42 @@ resulting PsiDecomposition is the raw material for cycle joining.
 
 import random
 
-from .gamma import successors, _check_order, _check_vertex, _targets
+from .gamma import successors, _check_order, _check_vertex
 
 
-def _grow(path, used, n, prefer_double):
+def _grow(path, visited, n, prefer_double):
     """Extend path greedily until both successors are exhausted.
 
-    Callers have checked n and path[0]; every later vertex is an arc
-    target, so no step re-checks.
+    `visited` is a bytearray over 0 .. 2^n - 1 with slot 0 set: 0 is
+    the target of the missing double arc, so that arc reads as visited.
+    The preferred target of a is ((a << 1) & mask) ^ flip, the double
+    target for flip = 0 and the complement target for flip = mask; the
+    other target is that XOR mask.  Callers have checked n and path[0];
+    every later vertex is an arc target, so no step re-checks.
     """
     mask = (1 << n) - 1
+    flip = 0 if prefer_double else mask
+    append = path.append
+    a = path[-1]
     while True:
-        d, c = _targets(path[-1], mask)
-        if prefer_double:
-            first, second = d, c
-        else:
-            first, second = c, d
-        if first and first not in used:
-            nxt = first
-        elif second and second not in used:
-            nxt = second
-        else:
-            return
-        used.add(nxt)
-        path.append(nxt)
+        a = ((a << 1) & mask) ^ flip
+        if visited[a]:
+            a ^= mask
+            if visited[a]:
+                return
+        visited[a] = 1
+        append(a)
+
+
+def _walk(n, v_init, prefer_double):
+    """One rule's walk from v_init, after checking n and v_init."""
+    _check_order(n)
+    _check_vertex(v_init, n)
+    visited = bytearray(1 << n)
+    visited[0] = visited[v_init] = 1
+    path = [v_init]
+    _grow(path, visited, n, prefer_double)
+    return path
 
 
 def prefer_complement(n, v_init):
@@ -54,20 +66,12 @@ def prefer_complement(n, v_init):
     Returns the full vertex path; use is_hamiltonian to test whether it
     closed into a Hamiltonian cycle.
     """
-    _check_order(n)
-    _check_vertex(v_init, n)
-    path = [v_init]
-    _grow(path, {v_init}, n, prefer_double=False)
-    return path
+    return _walk(n, v_init, prefer_double=False)
 
 
 def modified_prefer_double(n, v_init):
     """Walk of the modified prefer-double rule from v_init."""
-    _check_order(n)
-    _check_vertex(v_init, n)
-    path = [v_init]
-    _grow(path, {v_init}, n, prefer_double=True)
-    return path
+    return _walk(n, v_init, prefer_double=True)
 
 
 def is_hamiltonian(path, n):
@@ -164,14 +168,15 @@ def psi_decompose(n, visit_order=None, seed=None):
     else:
         order = tuple(range(1, size + 1))
         seed_text = None
-    used = set()
+    visited = bytearray(size + 1)
+    visited[0] = 1
     cycles = []
     for v in order:
-        if v in used:
+        if visited[v]:
             continue
         cycle = [v]
-        used.add(v)
-        _grow(cycle, used, n, prefer_double=False)
+        visited[v] = 1
+        _grow(cycle, visited, n, prefer_double=False)
         d, c = successors(cycle[-1], n)
         if cycle[0] not in (d, c):
             raise AssertionError(

@@ -12,9 +12,11 @@ cofactor (computed with fraction-free integer elimination).
 Because two different spanning trees occasionally splice their way to
 the same cycle, the per-tree stream is emitted as-is (tagged with the
 pairs used) and any deduplication under rotation is left to the
-caller.  Exhaustive tree enumeration is brute force over edge subsets
-and is guarded above MAX_EXHAUSTIVE_EDGES edges.  A tree's joins and
-join_all's lowest-pair-first joins go through one merge routine.
+caller.  Trees are listed by backtracking whose work grows with the
+number of trees, and graphs above MAX_EXHAUSTIVE_EDGES edges are
+refused.  A tree's joins and join_all's lowest-pair-first joins go
+through one merge routine, which splices without join_pair's checks;
+HamCycle validates every joined cycle.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from typing import NamedTuple, Tuple
 
 from .gamma import GuardRefusal, HamCycle
 
-#: Edge-count ceiling for brute-force spanning tree enumeration.
+#: Edge-count ceiling for exhaustive spanning tree enumeration.
 MAX_EXHAUSTIVE_EDGES = 24
 
 
@@ -133,38 +135,58 @@ def best_count(graph):
 
 
 def spanning_trees(graph):
-    """All spanning trees as tuples of edge indices, by brute force.
+    """All spanning trees as tuples of edge indices, in lexicographic order.
 
-    Subsets of node_count - 1 edges are tested with a union-find for
-    acyclicity (which on that many edges is the same as spanning).
-    Graphs with more than MAX_EXHAUSTIVE_EDGES edges are refused.
+    Include-first backtracking over the edges in index order, with the
+    forest's components kept as one label per node: an edge is taken
+    when it joins two components, and left out only while the later
+    edges can still connect the forest.  On a connected graph every
+    branch therefore ends in a tree, so the work grows with the number
+    of trees; a disconnected graph is given up after one branch.  Graphs
+    with more than MAX_EXHAUSTIVE_EDGES edges are refused.
     """
     if len(graph.edges) > MAX_EXHAUSTIVE_EDGES:
         raise GuardRefusal(
             f'{len(graph.edges)} edges exceed the exhaustive spanning-tree '
             f'ceiling of {MAX_EXHAUSTIVE_EDGES}')
-    j = graph.node_count
-    trees = []
-    for combo in itertools.combinations(range(len(graph.edges)), j - 1):
-        parent = list(range(j + 1))
+    ends = [e[:2] for e in graph.edges]
+    trees, chosen = [], []
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def extend(label, parts, start):
+        if parts == 1:
+            trees.append(tuple(chosen))
+            return
+        for idx in range(start, len(ends)):
+            i, k = ends[idx]
+            li, lk = label[i], label[k]
+            if li == lk:
+                continue
+            chosen.append(idx)
+            extend([lk if x == li else x for x in label], parts - 1, idx + 1)
+            chosen.pop()
+            if not _connects(label, parts, ends[idx + 1:]):
+                return
 
-        ok = True
-        for idx in combo:
-            i, k = graph.edges[idx][0], graph.edges[idx][1]
-            ri, rk = find(i), find(k)
-            if ri == rk:
-                ok = False
-                break
-            parent[ri] = rk
-        if ok:
-            trees.append(combo)
+    extend(list(range(graph.node_count + 1)), graph.node_count, 0)
     return trees
+
+
+def _connects(label, parts, ends):
+    """True when the edges `ends` join all `parts` components of `label`.
+
+    Every label is a node that carries its own label, so `label` is a
+    union-find forest of depth one.
+    """
+    parent = label[:]
+    for i, k in ends:
+        while parent[i] != i:
+            i = parent[i]
+        while parent[k] != k:
+            k = parent[k]
+        if i != k:
+            parent[i] = k
+            parts -= 1
+    return parts == 1
 
 
 def join_pair(cycle_a, cycle_b, r, s):
@@ -186,6 +208,11 @@ def join_pair(cycle_a, cycle_b, r, s):
         raise ValueError(f'vertex {s} is not on the second cycle')
     if set(a) & set(b):
         raise ValueError('cycles are not disjoint')
+    return _splice(a, b, r, s)
+
+
+def _splice(a, b, r, s):
+    """join_pair on lists without its checks: r on a, s on b, disjoint."""
     ia, ib = a.index(r), b.index(s)
     return a[:ia] + b[ib:] + b[:ib] + a[ia:]
 
@@ -202,7 +229,7 @@ def _merge(dec, pairs):
         ia, ib = locate.get(r), locate.get(s)
         if ia is None or ib is None or ia == ib:
             continue
-        parts[ia] = join_pair(parts[ia], parts[ib], r, s)
+        parts[ia] = _splice(parts[ia], parts[ib], r, s)
         for v in parts[ib]:
             locate[v] = ia
         parts[ib] = None

@@ -253,10 +253,14 @@ def check_de_bruijn_span_form(s, n):
         raise ValueError('span-form check requires n >= 3')
     if not is_de_bruijn(s, n):
         raise ValueError(f'input is not a de Bruijn sequence of order {n}')
-    result = berlekamp_massey(s)
-    z = result.linear_complexity
+    return has_span_form(berlekamp_massey(s), n)
+
+
+def has_span_form(bm, n):
+    """Whether a BmResult is (x + 1)^z with 2^(n-1) + 1 <= z <= 2^n."""
+    z = bm.linear_complexity
     if not (1 << (n - 1)) + 1 <= z <= (1 << n):
         return False
     # The divisors of x^(2^n) + 1 = (x + 1)^(2^n) are the powers of x + 1.
-    _, rem = gf2poly.div_rem(1 << (1 << n) | 1, result.minimal_polynomial)
+    _, rem = gf2poly.div_rem(1 << (1 << n) | 1, bm.minimal_polynomial)
     return not rem

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: polynomials are coefficient
 lists, multiplication is schoolbook, irreducibility is trial division,
-spanning trees are counted by checking every edge subset, LFSR
+spanning trees are listed by checking every edge subset, greedy walks
+keep a visited set, LFSR
 streams, generator walks and Berlekamp-Massey discrepancies are
 stepped one bit at a time, cycles are rebuilt from their labels by
 XORing one mask per label, and cycles are joined one smallest cross
@@ -107,10 +108,15 @@ def irreducibles_of_degree(n):
     return candidates
 
 
-def spanning_tree_count(node_count, endpoint_pairs):
-    """Count spanning trees by testing every (node_count-1)-edge subset."""
-    count = 0
-    for combo in itertools.combinations(endpoint_pairs, node_count - 1):
+def ref_spanning_trees(node_count, endpoint_pairs):
+    """Spanning trees as edge-index tuples, testing every edge subset.
+
+    Subsets of node_count - 1 edges come in itertools.combinations
+    order, and a subset is kept when a union-find finds no cycle in it.
+    """
+    trees = []
+    for combo in itertools.combinations(range(len(endpoint_pairs)),
+                                        node_count - 1):
         parent = list(range(node_count + 1))
 
         def find(x):
@@ -120,15 +126,21 @@ def spanning_tree_count(node_count, endpoint_pairs):
             return x
 
         acyclic = True
-        for i, k in combo:
+        for idx in combo:
+            i, k = endpoint_pairs[idx]
             ri, rk = find(i), find(k)
             if ri == rk:
                 acyclic = False
                 break
             parent[ri] = rk
         if acyclic:
-            count += 1
-    return count
+            trees.append(combo)
+    return trees
+
+
+def spanning_tree_count(node_count, endpoint_pairs):
+    """Count spanning trees by testing every (node_count-1)-edge subset."""
+    return len(ref_spanning_trees(node_count, list(endpoint_pairs)))
 
 
 def cyclic_windows(bits, n):
@@ -306,3 +318,29 @@ def ref_join_all(cycles, n):
         parts.append(merged)
     start = parts[0].index(cycles[0][0])
     return parts[0][start:] + parts[0][:start]
+
+
+def ref_greedy_walk(n, v_init, prefer_double, used=None):
+    """Greedy walk from v_init, one successor pair and set lookup a step.
+
+    The double target of a is 2a mod 2^n (no arc when that is 0) and
+    the complement target is 2^n - 1 minus it; the preferred one is
+    taken while unused, else the other.  `used`, when given, is shared
+    and updated, as in a decomposition sweep.
+    """
+    mask = (1 << n) - 1
+    used = set() if used is None else used
+    used.add(v_init)
+    path = [v_init]
+    while True:
+        d = (path[-1] << 1) & mask
+        c = mask ^ d
+        first, second = (d, c) if prefer_double else (c, d)
+        if first and first not in used:
+            nxt = first
+        elif second and second not in used:
+            nxt = second
+        else:
+            return path
+        used.add(nxt)
+        path.append(nxt)

@@ -290,6 +290,19 @@ def test_verify_sequence_de_bruijn(capsys):
     assert 'ok = True' in lines
 
 
+def test_verify_de_bruijn_sequence_runs_each_check_once(capsys,
+                                                      monkeypatch):
+    calls = []
+    for name in ('berlekamp_massey', 'is_de_bruijn'):
+        check = getattr(seqkit, name)
+        monkeypatch.setattr(
+            seqkit, name,
+            lambda *a, name=name, check=check: calls.append(name) or check(*a))
+    assert cli.main(['verify', '--sequence', DE_BRUIJN_16]) == 0
+    assert 'span_form = True' in capsys.readouterr().out.splitlines()
+    assert sorted(calls) == ['berlekamp_massey', 'is_de_bruijn']
+
+
 def test_verify_sequence_modified_jsonl(capsys):
     assert cli.main(['verify', '--sequence', '(0,0,0,1,0,0,1,1,0,1,0,1,1,1,1)',
                      '--format', 'jsonl']) == 0

@@ -93,6 +93,68 @@ def test_ham_cycle_validation():
         HamCycle(swapped, 4)
 
 
+# The first failure of each kind, with n = 4, as the per-vertex
+# validation worded it: (vertices, exact ValueError text).
+FINAL = (1, 2, 11, 9, 13, 5, 10, 4, 7, 14, 3, 6, 12, 8, 15)
+CLOSED_WITH_0 = (1, 2, 11, 6, 3, 9, 13, 10, 4, 8, 0, 15, 14, 12, 7)
+HAM_CYCLE_ERRORS = {
+    'short': (FINAL[:-1], 'cycle length 14 != 15 for order 4'),
+    'repeated': (FINAL[:-1] + (1,), 'cycle vertices are not distinct'),
+    'vertex_0': ((0,) + FINAL[1:], 'vertex 0 outside 1..15'),
+    'vertex_16': ((16,) + FINAL[1:], 'vertex 16 outside 1..15'),
+    'text': (('1',) + FINAL[1:], "vertex '1' outside 1..15"),
+    'float': ((1.0,) + FINAL[1:], 'vertex 1.0 outside 1..15'),
+    'inner_arc': (FINAL[:3] + (FINAL[4], FINAL[3]) + FINAL[5:],
+                  '(11, 13) is not an arc at order 4'),
+    'arc_before_vertex': (FINAL[:3] + (FINAL[4], FINAL[3]) + FINAL[5:7]
+                          + (0,) + FINAL[8:],
+                          '(11, 13) is not an arc at order 4'),
+    'vertex_0_as_target': ((FINAL[0], 0) + FINAL[2:3] + (FINAL[4], FINAL[3])
+                           + FINAL[5:], '(1, 0) is not an arc at order 4'),
+    # A closed walk through 0 (8 -> 0 -> 15) that leaves out vertex 5, and
+    # the same walk with 16 in place of 0, which agrees with 0 mod 2^4.
+    'vertex_0_on_walk': (CLOSED_WITH_0, 'vertex 0 outside 1..15'),
+    'vertex_16_on_walk': (tuple(v or 16 for v in CLOSED_WITH_0),
+                          '(8, 16) is not an arc at order 4'),
+    # 13 -> 11 misses the arc 13 -> 10 in the low bit only.
+    'low_bit_arc': ((1, 13, 11, 9, 2) + FINAL[5:],
+                    '(13, 11) is not an arc at order 4'),
+}
+
+
+@pytest.mark.parametrize('kind', sorted(HAM_CYCLE_ERRORS))
+def test_ham_cycle_error_texts(kind):
+    verts, text = HAM_CYCLE_ERRORS[kind]
+    with pytest.raises(ValueError) as err:
+        HamCycle(verts, 4)
+    assert str(err.value) == text
+
+
+def test_ham_cycle_accepts_bool_vertices():
+    assert HamCycle((True,) + FINAL[1:], 4) == HamCycle(FINAL, 4)
+
+
+@pytest.mark.parametrize('n', (2, 3, 4))
+def test_every_hamiltonian_path_closes(n):
+    """No input fails on the wrap-around arc alone.
+
+    The targets of a path's last vertex a have the same predecessors: a
+    and a ^ 2^(n-1), or a alone when a = 2^(n-1).  On a Hamiltonian path
+    a precedes nothing and a ^ 2^(n-1) precedes one vertex, so some
+    target of a is the first vertex.  The wrap-around arc is still
+    checked, but its error can only follow an earlier one.
+    """
+    size = (1 << n) - 1
+    paths = [[v] for v in range(1, size + 1)]
+    while paths and len(paths[0]) < size:
+        paths = [p + [b] for p in paths for b in gamma._targets(p[-1], size)
+                 if b and b not in p]
+    assert paths
+    for p in paths:
+        assert p[0] in gamma._targets(p[-1], size)
+        assert HamCycle(p, n).vertices == tuple(p)
+
+
 def test_ham_cycle_rotation_invariant_equality():
     verts = (1, 13, 5, 10, 11, 9, 2, 4, 7, 14, 3, 6, 12, 8, 15)
     a = HamCycle(verts, 4)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import _reference as ref
 from mdbs import gamma, greedy
 from mdbs.gamma import HamCycle
 from mdbs.greedy import PsiDecomposition
@@ -199,3 +200,24 @@ def test_decomposition_validation():
     assert list(dec) == [(6, 3, 9, 13, 5, 10, 11), (4, 7, 1, 2)]
     with pytest.raises(AttributeError):
         dec.n = 5
+
+
+@pytest.mark.parametrize('n', range(3, 11))
+def test_walks_match_set_based_reference(n):
+    for v in range(1, 1 << n):
+        assert greedy.prefer_complement(n, v) == ref.ref_greedy_walk(
+            n, v, prefer_double=False)
+        assert greedy.modified_prefer_double(n, v) == ref.ref_greedy_walk(
+            n, v, prefer_double=True)
+
+
+@pytest.mark.parametrize('n', range(3, 15))
+def test_psi_decompose_matches_set_based_reference(n):
+    for seed in (None, 0, 1, 2, 3):
+        dec = greedy.psi_decompose(n, seed=seed)
+        used, cycles = set(), []
+        for v in dec.order:
+            if v not in used:
+                cycles.append(tuple(ref.ref_greedy_walk(
+                    n, v, prefer_double=False, used=used)))
+        assert dec.cycles == tuple(cycles)

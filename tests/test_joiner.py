@@ -107,6 +107,50 @@ def test_best_count_matches_brute_force():
         checked += 1
 
 
+def _ends(graph):
+    return [e[:2] for e in graph.edges]
+
+
+def test_spanning_trees_match_brute_force_in_order():
+    # Seeds 0..299 include 208, the 6-cycle, 23-edge graph of 7744 trees.
+    checked = 0
+    for n in range(3, 7):
+        for seed in range(300):
+            graph = joiner.complement_pairs(greedy.psi_decompose(n, seed=seed))
+            if len(graph.edges) > joiner.MAX_EXHAUSTIVE_EDGES:
+                continue
+            trees = joiner.spanning_trees(graph)
+            assert trees == ref.ref_spanning_trees(graph.node_count,
+                                                   _ends(graph))
+            if (n, seed) == (6, 208):
+                assert len(trees) == 7744 == joiner.best_count(graph)
+            checked += 1
+    assert checked > 1000
+
+
+def test_spanning_trees_small_multigraphs_match_brute_force():
+    def graph(node_count, ends):
+        return JoinGraph(10, node_count, [(i, k, r, 1023 - r)
+                                          for r, (i, k) in enumerate(ends, 1)])
+
+    parallel = graph(3, [(1, 2), (1, 2), (2, 3), (1, 3), (2, 3), (1, 2)])
+    disconnected = graph(4, [(1, 2), (1, 2), (3, 4), (1, 2)])
+    single = graph(1, [])
+    assert joiner.spanning_trees(single) == [()]
+    assert joiner.spanning_trees(disconnected) == []
+    cases = [parallel, disconnected, single]
+    rng = random.Random(71)
+    for _ in range(300):
+        nodes = rng.randint(1, 7)
+        pairs = [tuple(sorted(rng.sample(range(1, nodes + 1), 2)))
+                 for _ in range(rng.randint(0, 12))] if nodes > 1 else []
+        cases.append(graph(nodes, pairs))
+    for g in cases:
+        assert joiner.spanning_trees(g) == ref.ref_spanning_trees(
+            g.node_count, _ends(g))
+        assert len(joiner.spanning_trees(g)) == joiner.best_count(g)
+
+
 def test_spanning_trees_guard():
     edges = [(1, 2, r, 1023 - r) for r in range(1, 26)]
     graph = JoinGraph(10, 2, edges)

@@ -32,6 +32,10 @@ GOLDEN = {
         0, '7ab6284af4ee274b607d1d0c2c7985119ffc2f02b90cd10b52bfbd173f1152fb'),
     'greedy --n 6 --all --alg double --format jsonl': (
         0, '30de918541eb961934af1dbbc9738105f39fc469405b5a68d3052257802b9860'),
+    'greedy --n 9 --all --alg complement --format jsonl': (
+        0, 'bad6eb6d7e51d3f9837d72182d09a382cae485e8fea2be3cd70733d42f4a5540'),
+    'greedy --n 9 --all --alg double --format jsonl': (
+        0, '535c7887a5828d06b1bdecc3e1f0eb0bbb95af4caa12f94515e149c416a5220e'),
     'decompose --n 8 --seed 1 --format text': (
         0, '086b592e625594bfa2f2b97c330a3041ceb5f9c2a0bac71416cc1cb816dd3311'),
     'decompose --n 8 --seed 1 --format jsonl': (
@@ -40,6 +44,11 @@ GOLDEN = {
         0, '6f985e633044d20061aee4eaaeed0dfbb164cd1f103a0d3361f54f06e448d1bc'),
     'join --n 4 --order 6,4,14 --format jsonl': (
         0, '025deb9df251b1b0147e091995a2b0fe339b53ad734c9a27b3cabda9d3e4ddd4'),
+    # 7744 spanning trees: the rows pin the order in which trees are listed.
+    'join --n 6 --seed 208 --limit 20 --format text': (
+        0, '62b626807c865a27ab4f4e3b5756fb5ad635af33d1fe4f1bbd4731fad95432fe'),
+    'join --n 6 --seed 208 --limit 20 --format jsonl': (
+        0, 'e0180505f8e569fbc8c44268e93ac458f645ae68cc1208f6458c27b1ec54de2b'),
     'enumerate --n 4': (
         0, 'ec0e18f33ddd30b4119b36b401471b37fea56b1f635382d85f068201965ecf0a'),
     f'minpoly --n 4 --cycle {FINAL_CYCLE} --format text': (
