@@ -55,6 +55,31 @@ def canonical_generator(cycle):
     return c_h
 
 
+def _lowest_terms(c_h, f):
+    """d = gcd(c_H, F) and F / d, the fraction c_H / F in lowest terms.
+
+    F / d is the minimal polynomial of the cycle's labels, and its
+    degree is the span.  When d = 1 the fraction is already reduced,
+    and skipping the division keeps the span census over all cycles,
+    most of which have d = 1, as cheap as the gcd alone.
+    """
+    d = gf2poly.gcd(c_h, f)
+    if d == 1:
+        return d, f
+    quotient, rem = gf2poly.div_rem(f, d)
+    if rem != 0:
+        raise RuntimeError('internal error: gcd does not divide F')
+    return d, quotient
+
+
+def minimal_polynomial(cycle):
+    """f = F / gcd(c_H, F) of a Hamiltonian cycle, from c_H alone.
+
+    This is the report's f without the Berlekamp-Massey cross-check.
+    """
+    return _lowest_terms(canonical_generator(cycle), build_F(cycle.n))[1]
+
+
 def minimal_polynomial_of_cycle(cycle):
     """Full minimal-polynomial report for one Hamiltonian cycle.
 
@@ -64,20 +89,15 @@ def minimal_polynomial_of_cycle(cycle):
     is the Berlekamp-Massey minimal polynomial of the label sequence,
     which must equal f.
     """
-    n = cycle.n
     c_h = canonical_generator(cycle)
-    f = build_F(n)
-    d = gf2poly.gcd(c_h, f)
-    quotient, rem = gf2poly.div_rem(f, d)
-    if rem != 0:
-        raise RuntimeError('internal error: gcd does not divide F')
+    d, f = _lowest_terms(c_h, build_F(cycle.n))
     bm = berlekamp_massey(cycle_to_sequence(cycle))
     return MinPolyReport(
         c_h=c_h,
         d=d,
-        f=quotient,
-        f_star=gf2poly.reciprocal(quotient),
-        span=quotient.degree,
+        f=f,
+        f_star=gf2poly.reciprocal(f),
+        span=f.degree,
         bm_check=bm.minimal_polynomial,
     )
 
@@ -89,10 +109,7 @@ def spans_of_all_cycles(n, override_guard=False):
     same exhaustive guard as cycle enumeration.
     """
     f = build_F(n)
-    deg_f = f.degree
     counts = Counter()
     for cycle in enumerate_hamiltonian(n, override_guard=override_guard):
-        c_h = canonical_generator(cycle)
-        d = gf2poly.gcd(c_h, f)
-        counts[deg_f - d.degree] += 1
+        counts[_lowest_terms(canonical_generator(cycle), f)[1].degree] += 1
     return counts

@@ -14,6 +14,7 @@ refusal, 4 verification failure.  Given the same configuration
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from typing import NamedTuple, Optional, Tuple
@@ -224,29 +225,27 @@ def cmd_join(cfg):
     else:
         print(f'cycles: {len(dec.cycles)}  edges: {len(graph.edges)}  '
               f'spanning trees: {count}')
-    distinct = set()
-    emitted = 0
+    # Different trees swap different pairs' arcs, so every tree's cycle
+    # is distinct and the footer is the tree count: only printed rows
+    # are merged.
+    if cfg.limit is not None:
+        joined = itertools.islice(joined, max(cfg.limit, 0))
     for pairs, cycle in joined:
-        distinct.add(cycle)
-        if cfg.limit is not None and emitted >= cfg.limit:
-            continue
-        emitted += 1
-        report = canonical.minimal_polynomial_of_cycle(cycle)
+        f = gf2poly.to_text(canonical.minimal_polynomial(cycle))
         if fmt == 'jsonl':
             print(json.dumps({'tree_edges': [list(p) for p in pairs],
                               'vertices': list(cycle.vertices),
                               'sequence':
                                   gamma.cycle_to_sequence(cycle).to_text(),
-                              'min_poly': gf2poly.to_text(report.f)}))
+                              'min_poly': f}))
         else:
             tree = ''.join(f'({r},{s})' for r, s in pairs)
             verts = ','.join(str(v) for v in cycle.vertices)
-            print(f'{tree or "(identity)"} -> {verts} '
-                  f'minpoly={gf2poly.to_text(report.f)}')
+            print(f'{tree or "(identity)"} -> {verts} minpoly={f}')
     if fmt == 'jsonl':
-        print(json.dumps({'distinct_joined_cycles': len(distinct)}))
+        print(json.dumps({'distinct_joined_cycles': count}))
     else:
-        print(f'distinct joined cycles: {len(distinct)}')
+        print(f'distinct joined cycles: {count}')
     return EXIT_OK
 
 
@@ -396,15 +395,16 @@ def cmd_tables(cfg):
         if cfg.n != 4:
             return _usage('the worked join table exists at order 4 only')
         dec = greedy.psi_decompose(4, visit_order=(6, 4, 14))
-        distinct = set()
+        rows = 0
         for pairs, cycle in joiner.enumerate_joined_cycles(dec):
-            distinct.add(cycle)
-            report = canonical.minimal_polynomial_of_cycle(cycle)
+            rows += 1
             writer.writerow([''.join(f'({r},{s})' for r, s in pairs),
                              ' '.join(str(v) for v in cycle.vertices),
                              gamma.cycle_to_sequence(cycle).to_text(),
-                             gf2poly.to_text(report.f)])
-        writer.writerow(['distinct', len(distinct)])
+                             gf2poly.to_text(
+                                 canonical.minimal_polynomial(cycle))])
+        # One distinct cycle per tree, as in cmd_join.
+        writer.writerow(['distinct', rows])
         return EXIT_OK
     return _usage(f'unknown table {cfg.which}')
 

@@ -20,9 +20,24 @@ guarantees the stuck vertex arcs back to its cycle's start).  The
 resulting PsiDecomposition is the raw material for cycle joining.
 """
 
+import functools
 import random
 
 from .gamma import successors, _check_order, _check_vertex
+
+
+@functools.lru_cache(maxsize=4)
+def _preferred(n, prefer_double):
+    """Preferred target of every vertex a: ((a << 1) & mask) ^ flip.
+
+    That is the double target for flip = 0 and the complement target
+    for flip = mask; the other target is the preferred one XOR mask.
+    The tuple holds 2^n ints, as many as a walk's path may, and is
+    immutable because every walk of that order and rule shares it.
+    """
+    mask = (1 << n) - 1
+    flip = 0 if prefer_double else mask
+    return tuple([((a << 1) & mask) ^ flip for a in range(mask + 1)])
 
 
 def _grow(path, visited, n, prefer_double):
@@ -30,17 +45,17 @@ def _grow(path, visited, n, prefer_double):
 
     `visited` is a bytearray over 0 .. 2^n - 1 with slot 0 set: 0 is
     the target of the missing double arc, so that arc reads as visited.
-    The preferred target of a is ((a << 1) & mask) ^ flip, the double
-    target for flip = 0 and the complement target for flip = mask; the
-    other target is that XOR mask.  Callers have checked n and path[0];
-    every later vertex is an arc target, so no step re-checks.
+    Each step reads the preferred target from the cached _preferred
+    table and falls back to its XOR with mask.  Callers have checked n
+    and path[0]; every later vertex is an arc target, so no step
+    re-checks.
     """
+    preferred = _preferred(n, prefer_double)
     mask = (1 << n) - 1
-    flip = 0 if prefer_double else mask
     append = path.append
     a = path[-1]
     while True:
-        a = ((a << 1) & mask) ^ flip
+        a = preferred[a]
         if visited[a]:
             a ^= mask
             if visited[a]:

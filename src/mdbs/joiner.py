@@ -9,14 +9,19 @@ tree of that graph yields one joined Hamiltonian cycle, and the number
 of spanning trees is counted exactly by the classic matrix-tree
 cofactor (computed with fraction-free integer elimination).
 
-Because two different spanning trees occasionally splice their way to
-the same cycle, the per-tree stream is emitted as-is (tagged with the
-pairs used) and any deduplication under rotation is left to the
-caller.  Trees are listed by backtracking whose work grows with the
-number of trees, and graphs above MAX_EXHAUSTIVE_EDGES edges are
-refused.  A tree's joins and join_all's lowest-pair-first joins go
-through one merge routine, which splices without join_pair's checks;
-HamCycle validates every joined cycle.
+Different spanning trees give different cycles.  r and its complement
+s have the same two predecessors q and q + 2^(n-1), each with arcs to
+both, and a splice at (r, s) swaps which predecessor enters r and which
+enters s.  Different pairs touch disjoint arcs, so the swaps commute: a
+tree's cycle is the decomposition's arc set with exactly that tree's
+pairs swapped, and two trees differ in the arcs into some pair.  The
+number of distinct joined cycles is therefore the tree count, known
+before any merge, and a caller that wants k cycles merges only k.
+Trees are listed by backtracking whose work grows with the number of
+trees, and graphs above MAX_EXHAUSTIVE_EDGES edges are refused.  A
+tree's joins and join_all's lowest-pair-first joins go through one
+merge routine, which splices without join_pair's checks; HamCycle
+validates every joined cycle.
 """
 
 import itertools
@@ -246,7 +251,10 @@ def enumerate_joined_cycles(dec):
     Yields (pairs, cycle) where pairs are the (r, s) joins of the tree
     in application order.  The merge result is independent of the
     order the tree edges are applied in; each cycle is rotated to start
-    at the decomposition's first vertex.  A decomposition whose join
+    at the decomposition's first vertex.  The trees are listed up front
+    (the edge guard may refuse), but each cycle is merged only when it
+    is drawn, and no two trees yield the same cycle, so the stream
+    holds best_count(graph) distinct cycles.  A decomposition whose join
     graph is disconnected yields nothing (with a warning), which cannot
     happen for decompositions produced by a full greedy sweep.
     """

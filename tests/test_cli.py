@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from mdbs import cli, gamma, greedy, seqkit
+from mdbs import canonical, cli, gamma, greedy, joiner, seqkit
 
 FINAL_CYCLE = '1,2,11,9,13,5,10,4,7,14,3,6,12,8,15'
 DE_BRUIJN_16 = '0000100110101111'
@@ -164,6 +164,58 @@ def test_join_limit_caps_rows_not_count(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert json.loads(lines[-1]) == {'distinct_joined_cycles': 8}
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_join_limit_bounds_the_merges(capsys, monkeypatch):
+    # Seed 208 has 7744 spanning trees; only the printed rows are merged.
+    calls = {}
+    _count_calls(monkeypatch, joiner, '_merge', calls)
+    assert cli.main(['join', '--n', '6', '--seed', '208',
+                     '--limit', '20']) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 22
+    assert json.loads(lines[-1]) == {'distinct_joined_cycles': 7744}
+    assert calls == {'_merge': 20}
+
+
+def test_join_rows_run_no_berlekamp_massey(capsys, monkeypatch):
+    calls = {}
+    for module in (seqkit, canonical):
+        _count_calls(monkeypatch, module, 'berlekamp_massey', calls)
+    assert cli.main(['join', '--n', '6', '--seed', '208',
+                     '--limit', '20']) == 0
+    assert cli.main(['tables', '--n', '4', '--which', '4']) == 0
+    assert calls == {}
+    # minpoly still prints bm_check, so it still runs Berlekamp-Massey.
+    assert cli.main(['minpoly', '--cycle', FINAL_CYCLE]) == 0
+    assert calls == {'berlekamp_massey': 1}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize('limit', ['0', '-1'])
+def test_join_nonpositive_limit_prints_header_and_footer(capsys, monkeypatch,
+                                                         limit):
+    calls = {}
+    _count_calls(monkeypatch, joiner, '_merge', calls)
+    argv = ['join', '--n', '6', '--seed', '208', '--limit', limit]
+    assert cli.main(argv + ['--format', 'text']) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        'cycles: 6  edges: 23  spanning trees: 7744',
+        'distinct joined cycles: 7744']
+    assert cli.main(argv) == 0
+    head, foot = capsys.readouterr().out.splitlines()
+    assert json.loads(head)['best_count'] == 7744
+    assert json.loads(foot) == {'distinct_joined_cycles': 7744}
+    assert calls == {}
 
 
 def test_join_single_cycle_identity(capsys):

@@ -221,3 +221,14 @@ def test_psi_decompose_matches_set_based_reference(n):
                 cycles.append(tuple(ref.ref_greedy_walk(
                     n, v, prefer_double=False, used=used)))
         assert dec.cycles == tuple(cycles)
+
+
+def test_preferred_table_is_keyed_on_order_and_rule():
+    greedy._preferred.cache_clear()
+    for n in (5, 11, 5):
+        for prefer_double in (False, True):
+            walk = (greedy.modified_prefer_double if prefer_double
+                    else greedy.prefer_complement)
+            for v in range(1, 1 << n, 1 if n == 5 else 89):
+                assert walk(n, v) == ref.ref_greedy_walk(
+                    n, v, prefer_double=prefer_double)

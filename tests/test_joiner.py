@@ -1,5 +1,6 @@
 """Unit tests for complementary-pair joining and spanning-tree counting."""
 
+import itertools
 import random
 
 import pytest
@@ -228,6 +229,55 @@ def test_merge_order_does_not_matter():
     for pairs, cycle in joiner.enumerate_joined_cycles(WORKED):
         assert fold_joins(WORKED, pairs) == cycle
         assert fold_joins(WORKED, tuple(reversed(pairs))) == cycle
+
+
+def _successors(cycles):
+    return {v: c[(i + 1) % len(c)] for c in cycles for i, v in enumerate(c)}
+
+
+def test_a_tree_swaps_the_arcs_into_its_pairs():
+    # The joined cycle of a tree is the decomposition's arc set with the
+    # predecessors of r and s exchanged at each of the tree's pairs.
+    checked = 0
+    for n in range(4, 7):
+        for seed in range(40):
+            dec = greedy.psi_decompose(n, seed=seed)
+            if (len(joiner.complement_pairs(dec).edges)
+                    > joiner.MAX_EXHAUSTIVE_EDGES):
+                continue
+            base = _successors(dec.cycles)
+            pred = {b: a for a, b in base.items()}
+            for pairs, cycle in itertools.islice(
+                    joiner.enumerate_joined_cycles(dec), 200):
+                want = dict(base)
+                for r, s in pairs:
+                    want[pred[r]], want[pred[s]] = s, r
+                assert _successors([cycle.vertices]) == want
+                checked += 1
+    assert checked == 2721
+
+
+# order -> (seeds scanned, how many of their decompositions have at most
+# 24 edges and 20,000 spanning trees)
+DISTINCT_SCAN = {4: (400, 400), 5: (400, 400), 6: (400, 400), 7: (150, 77)}
+
+
+@pytest.mark.parametrize('n', sorted(DISTINCT_SCAN))
+def test_every_tree_joins_a_distinct_cycle(n):
+    seeds, expected = DISTINCT_SCAN[n]
+    checked = 0
+    for seed in range(seeds):
+        dec = greedy.psi_decompose(n, seed=seed)
+        graph = joiner.complement_pairs(dec)
+        if len(graph.edges) > joiner.MAX_EXHAUSTIVE_EDGES:
+            continue
+        count = joiner.best_count(graph)
+        if count > 20000:
+            continue
+        cycles = {c.vertices for _, c in joiner.enumerate_joined_cycles(dec)}
+        assert len(cycles) == count, seed
+        checked += 1
+    assert checked == expected
 
 
 def test_enumerate_joined_cycles_disconnected_warns():

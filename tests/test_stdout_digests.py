@@ -49,6 +49,15 @@ GOLDEN = {
         0, '62b626807c865a27ab4f4e3b5756fb5ad635af33d1fe4f1bbd4731fad95432fe'),
     'join --n 6 --seed 208 --limit 20 --format jsonl': (
         0, 'e0180505f8e569fbc8c44268e93ac458f645ae68cc1208f6458c27b1ec54de2b'),
+    'join --n 6 --seed 208 --format text': (
+        0, '111ee589ec72b99874311346b6ec8219760731f6e75e98d646cef714194b4fbe'),
+    'join --n 6 --seed 208 --format jsonl': (
+        0, 'aee9b8407c083cf9e0e8d59e208ef86c6d5773bdcb445d7dadb8ec6eda5ad9bf'),
+    # A limit of 0 or below prints the header and the footer only.
+    'join --n 6 --seed 208 --limit 0 --format text': (
+        0, '122bd9dbc8346fbfcfd684028e8fc8e892388160d43c05c947fbb6b022460001'),
+    'join --n 6 --seed 208 --limit -1 --format jsonl': (
+        0, '0c253c5e508b2273f0880040da8d63961103e1a826e472d5d27aca23f193802c'),
     'enumerate --n 4': (
         0, 'ec0e18f33ddd30b4119b36b401471b37fea56b1f635382d85f068201965ecf0a'),
     f'minpoly --n 4 --cycle {FINAL_CYCLE} --format text': (
