@@ -6,7 +6,10 @@ digraph on the nonzero n-bit words.  The package builds that graph,
 grows cycles greedily, joins partial cycles along spanning trees of a
 complementary-pair graph, recovers each cycle's canonical generator
 polynomial, and derives exact minimal polynomials and linear
-complexities, all over GF(2) with integer-packed arithmetic.
+complexities, all over GF(2).  A polynomial is a plain nonnegative
+int with bit i the coefficient of x^i, and the functions of gf2poly
+are the one polynomial API; a sequence period is a BitSequence, an int
+plus its length.
 
 Modules: gf2poly (polynomial arithmetic), seqkit (sequence tooling and
 Berlekamp-Massey), gamma (the digraph), greedy (preference walks and
@@ -14,7 +17,6 @@ decompositions), joiner (cycle joining and spanning-tree counts),
 canonical (generators and minimal polynomials), cli (command line).
 """
 
-from .gf2poly import Gf2Poly
 from .seqkit import BitSequence, BmResult
 from .gamma import GammaGraph, GuardRefusal, HamCycle
 from .greedy import PsiDecomposition
@@ -27,7 +29,6 @@ __all__ = [
     'BitSequence',
     'BmResult',
     'GammaGraph',
-    'Gf2Poly',
     'GuardRefusal',
     'HamCycle',
     'JoinGraph',

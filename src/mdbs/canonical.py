@@ -24,7 +24,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import gf2poly
-from .gf2poly import Gf2Poly, build_F
+from .gf2poly import build_F
 from .gamma import cycle_to_sequence, enumerate_hamiltonian
 from .seqkit import berlekamp_massey, shift
 
@@ -32,12 +32,12 @@ from .seqkit import berlekamp_massey, shift
 class MinPolyReport(NamedTuple):
     """Everything derived from one cycle's canonical generator."""
 
-    c_h: Gf2Poly
-    d: Gf2Poly
-    f: Gf2Poly
-    f_star: Gf2Poly
+    c_h: int
+    d: int
+    f: int
+    f_star: int
     span: int
-    bm_check: Gf2Poly
+    bm_check: int
 
 
 def canonical_generator(cycle):
@@ -97,7 +97,7 @@ def minimal_polynomial_of_cycle(cycle):
         d=d,
         f=f,
         f_star=gf2poly.reciprocal(f),
-        span=f.degree,
+        span=gf2poly.degree(f),
         bm_check=bm.minimal_polynomial,
     )
 
@@ -111,5 +111,6 @@ def spans_of_all_cycles(n, override_guard=False):
     f = build_F(n)
     counts = Counter()
     for cycle in enumerate_hamiltonian(n, override_guard=override_guard):
-        counts[_lowest_terms(canonical_generator(cycle), f)[1].degree] += 1
+        span = gf2poly.degree(_lowest_terms(canonical_generator(cycle), f)[1])
+        counts[span] += 1
     return counts

@@ -371,7 +371,7 @@ def cmd_tables(cfg):
             if gf2poly.gcd(c_h, f) == 1:
                 # c_H / F = c_H (x + 1) / (x^N + 1), so its first N series
                 # terms are the coefficients of c_H (x + 1), lowest first.
-                labels = int(c_h) << 1 ^ int(c_h)
+                labels = c_h << 1 ^ c_h
                 rows.append((gf2poly.to_text(c_h, 'binary'),
                              format(labels, f'0{(1 << cfg.n) - 1}b')[::-1]))
         for row in sorted(rows):

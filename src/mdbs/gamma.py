@@ -113,10 +113,6 @@ class GammaGraph(NamedTuple):
                 yield (a, self.double[a], 0)
             yield (a, self.comp[a], 1)
 
-    @property
-    def arc_count(self):
-        return 2 * ((1 << self.n) - 1) - 1
-
     def loop_vertex(self):
         """The vertex carrying the graph's one self-loop.
 

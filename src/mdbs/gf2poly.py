@@ -1,13 +1,18 @@
 """Exact arithmetic for polynomials over GF(2).
 
-A polynomial a_d x^d + ... + a_1 x + a_0 is stored bit-packed in a
-nonnegative Python integer: bit i holds the coefficient of x^i, so the
-polynomial equals the integer A = sum(a_i * 2**i).  Addition is XOR,
-and every nonzero polynomial is monic, which keeps gcd normalization
-trivial.  Division jumps from one quotient term to the next; the
-derivative, reciprocal and text forms act on the whole int at once.
+A polynomial a_d x^d + ... + a_1 x + a_0 is a nonnegative Python int:
+bit i holds the coefficient of x^i, so the polynomial equals the
+integer A = sum(a_i * 2**i).  There is no wrapper class; the functions
+here take and return these ints, and `degree` reports -1 for the zero
+polynomial.  Addition is XOR, and every nonzero polynomial is monic,
+which keeps gcd normalization trivial.  Division jumps from one
+quotient term to the next; gcd and pow_mod reduce with a
+remainder-only loop that builds no quotient.  The derivative,
+reciprocal and text forms act on the whole int at once.
 
-Three interchangeable text forms are supported:
+Arguments are taken to be nonnegative ints and are not coerced; text
+is the checked boundary.  Three interchangeable text forms are
+supported:
 
 * symbolic   -- "x^10+x^8+x^5+x+1"
 * binary     -- coefficient string, most significant first: "10100100011"
@@ -19,23 +24,21 @@ and exceeds 1), expands rational power series, and counts irreducible
 polynomials by degree.
 """
 
-
-def _val(a):
-    """Coerce a Gf2Poly or a nonnegative int to the packed int form."""
-    if isinstance(a, Gf2Poly):
-        return a.value
-    if isinstance(a, int):
-        if a < 0:
-            raise ValueError('negative integer is not a GF(2) polynomial')
-        return a
-    raise TypeError(f'expected Gf2Poly or int, got {type(a).__name__}')
+_HEX_DIGITS = frozenset('0123456789abcdefABCDEF')
 
 
-def _degree(a):
+def degree(a):
+    """Degree of a (-1 for the zero polynomial)."""
     return a.bit_length() - 1
 
 
-def _mul(a, b):
+def add(a, b):
+    """Sum of polynomials a and b (coefficientwise XOR)."""
+    return a ^ b
+
+
+def mul(a, b):
+    """Product of polynomials a and b (shift-and-xor schoolbook)."""
     if a < b:
         a, b = b, a
     c = 0
@@ -47,115 +50,41 @@ def _mul(a, b):
     return c
 
 
-def _divmod(a, b):
-    """Long division that jumps straight to each nonzero quotient term."""
+def div_rem(a, b):
+    """Quotient and remainder of a divided by the nonzero polynomial b.
+
+    Long division that jumps straight to each nonzero quotient term.
+    """
     if b == 0:
         raise ZeroDivisionError('division by zero polynomial')
     q = 0
-    while (shift := _degree(a) - _degree(b)) >= 0:
+    while (shift := a.bit_length() - b.bit_length()) >= 0:
         a ^= b << shift
         q |= 1 << shift
     return q, a
 
 
-def _mod(a, b):
-    return _divmod(a, b)[1]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, _mod(a, b)
+def _rem(a, b):
+    """a mod b for nonzero b, without building the quotient."""
+    while (shift := a.bit_length() - b.bit_length()) >= 0:
+        a ^= b << shift
     return a
-
-
-def _powmod(a, e, m):
-    if e < 0:
-        raise ValueError('negative exponent')
-    r = 1
-    a = _mod(a, m)
-    while e:
-        if e & 1:
-            r = _mod(_mul(r, a), m)
-        a = _mod(_mul(a, a), m)
-        e >>= 1
-    return r
-
-
-def _derivative(a):
-    """Formal derivative: keep odd-exponent terms, drop one power of x."""
-    return (a >> 1) & (4 ** a.bit_length() - 1) // 3  # even bits: 0b0101...01
-
-
-class Gf2Poly:
-    """Immutable polynomial over GF(2), packed into an int.
-
-    The degree of the zero polynomial is reported as -1, the usual
-    "minus infinity" marker collapsed onto an int.
-    """
-
-    __slots__ = ('value',)
-
-    def __init__(self, value=0):
-        if isinstance(value, str):
-            value = _parse(value)
-        else:
-            value = _val(value)
-        object.__setattr__(self, 'value', value)
-
-    def __setattr__(self, name, v):
-        raise AttributeError('Gf2Poly is immutable')
-
-    @property
-    def degree(self):
-        """Degree of the polynomial (-1 for the zero polynomial)."""
-        return _degree(self.value)
-
-    def coefficient(self, i):
-        """Coefficient of x^i as 0 or 1."""
-        return (self.value >> i) & 1 if i >= 0 else 0
-
-    def __index__(self):
-        return self.value
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, Gf2Poly):
-            return self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __mod__(self, other):
-        return Gf2Poly(_mod(self.value, _val(other)))
-
-    def __repr__(self):
-        return _to_symbolic(self.value)
-
-
-def add(a, b):
-    """Sum of polynomials a and b (coefficientwise XOR)."""
-    return Gf2Poly(_val(a) ^ _val(b))
-
-
-def mul(a, b):
-    """Product of polynomials a and b (shift-and-xor schoolbook)."""
-    return Gf2Poly(_mul(_val(a), _val(b)))
 
 
 def pow_mod(a, e, m):
     """a raised to the integer power e, modulo the nonzero polynomial m."""
-    return Gf2Poly(_powmod(_val(a), e, _val(m)))
-
-
-def div_rem(a, b):
-    """Quotient and remainder of a divided by the nonzero polynomial b."""
-    q, r = _divmod(_val(a), _val(b))
-    return Gf2Poly(q), Gf2Poly(r)
+    if e < 0:
+        raise ValueError('negative exponent')
+    if m == 0:
+        raise ZeroDivisionError('division by zero polynomial')
+    r = 1
+    a = _rem(a, m)
+    while e:
+        if e & 1:
+            r = _rem(mul(r, a), m)
+        a = _rem(mul(a, a), m)
+        e >>= 1
+    return r
 
 
 def gcd(a, b):
@@ -164,15 +93,16 @@ def gcd(a, b):
     Over GF(2) every nonzero polynomial is monic, so no normalization
     step is needed.  Both arguments zero is rejected.
     """
-    a, b = _val(a), _val(b)
     if a == 0 and b == 0:
         raise ValueError('gcd(0, 0) is undefined')
-    return Gf2Poly(_gcd(a, b))
+    while b:
+        a, b = b, _rem(a, b)
+    return a
 
 
 def derivative(a):
-    """Formal derivative of a."""
-    return Gf2Poly(_derivative(_val(a)))
+    """Formal derivative: keep odd-exponent terms, drop one power of x."""
+    return (a >> 1) & (4 ** a.bit_length() - 1) // 3  # even bits: 0b0101...01
 
 
 def reciprocal(a):
@@ -181,10 +111,9 @@ def reciprocal(a):
     Requires a(0) = 1 so that the degree is preserved and the
     operation is an involution.
     """
-    a = _val(a)
     if not a & 1:
         raise ValueError('reciprocal requires a nonzero constant term')
-    return Gf2Poly(int(format(a, 'b')[::-1], 2))
+    return int(format(a, 'b')[::-1], 2)
 
 
 def build_F(n):
@@ -196,7 +125,7 @@ def build_F(n):
     """
     if n < 2:
         raise ValueError('build_F requires n >= 2')
-    return Gf2Poly((1 << ((1 << n) - 1)) - 1)
+    return (1 << ((1 << n) - 1)) - 1
 
 
 def expand_series(g, f, count):
@@ -209,10 +138,9 @@ def expand_series(g, f, count):
     """
     from .seqkit import BitSequence
 
-    g, f = _val(g), _val(f)
     if not f & 1:
         raise ValueError('series expansion requires f(0) = 1')
-    if _degree(g) >= _degree(f):
+    if g.bit_length() >= f.bit_length():
         raise ValueError('series expansion requires deg(g) < deg(f)')
     if count < 1:
         raise ValueError('count must be positive')
@@ -254,25 +182,33 @@ def irreducible_count(n):
     return total // n
 
 
-def _parse(text):
-    """Parse any of the three text forms into the packed int."""
+def parse(text):
+    """Parse symbolic, msb-first binary, or 0x-prefixed hex text.
+
+    Hex digits must follow the 0x prefix, and ASCII decimal digits the
+    x^ of a symbolic term; anything else is a ValueError.
+    """
     s = ''.join(text.split())
     if not s:
         raise ValueError('empty polynomial text')
     if s[:2] in ('0x', '0X'):
-        return int(s[2:], 16)
+        digits = s[2:]
+        if not digits or not _HEX_DIGITS.issuperset(digits):
+            raise ValueError(f'bad hex polynomial text {text!r}')
+        return int(digits, 16)
     if set(s) <= {'0', '1'}:
         return int(s, 2)  # binary form, most significant coefficient first
     a = 0
     for term in s.split('+'):
+        power = term[2:]
         if term == '0':
             t = 0
         elif term == '1':
             t = 1
         elif term == 'x':
             t = 2
-        elif term.startswith('x^'):
-            t = 1 << int(term[2:])
+        elif term[:2] == 'x^' and power.isascii() and power.isdigit():
+            t = 1 << int(power)
         else:
             raise ValueError(f'bad polynomial term {term!r}')
         if a & t:
@@ -281,25 +217,16 @@ def _parse(text):
     return a
 
 
-def parse(text):
-    """Parse symbolic, msb-first binary, or 0x-prefixed hex text."""
-    return Gf2Poly(_parse(text))
-
-
-def _to_symbolic(a):
-    if a == 0:
-        return '0'
-    d = _degree(a)
-    powers = (d - k for k, bit in enumerate(format(a, 'b')) if bit == '1')
-    return '+'.join('1' if i == 0 else 'x' if i == 1 else f'x^{i}'
-                    for i in powers)
-
-
 def to_text(a, fmt='symbolic'):
     """Render a in the requested text form (symbolic, binary, or hex)."""
-    a = _val(a)
     if fmt == 'symbolic':
-        return _to_symbolic(a)
+        if a == 0:
+            return '0'
+        d = degree(a)
+        powers = (d - k for k, bit in enumerate(format(a, 'b'))
+                  if bit == '1')
+        return '+'.join('1' if i == 0 else 'x' if i == 1 else f'x^{i}'
+                        for i in powers)
     if fmt == 'binary':
         return format(a, 'b') if a else '0'
     if fmt == 'hex':

@@ -96,13 +96,6 @@ def is_hamiltonian(path, n):
     return path[0] in successors(path[-1], n)
 
 
-def hamiltonian_inits_prefer_complement(n):
-    """Initial vertices from which prefer-complement closes a cycle."""
-    _check_order(n, minimum=4)
-    return {v for v in range(1, 1 << n)
-            if is_hamiltonian(prefer_complement(n, v), n)}
-
-
 class PsiDecomposition:
     """Disjoint closed cycles produced by a full greedy sweep.
 
@@ -141,14 +134,6 @@ class PsiDecomposition:
 
     def __iter__(self):
         return iter(self.cycles)
-
-    @property
-    def start_elements(self):
-        return tuple(c[0] for c in self.cycles)
-
-    @property
-    def terminating_elements(self):
-        return tuple(c[-1] for c in self.cycles)
 
     def __repr__(self):
         return f'PsiDecomposition(n={self.n}, cycles={self.cycles})'

@@ -34,33 +34,16 @@ from .gamma import GuardRefusal, HamCycle
 MAX_EXHAUSTIVE_EDGES = 24
 
 
-class JoinGraph:
-    """Multigraph over a decomposition's cycles.
+class JoinGraph(NamedTuple):
+    """Multigraph over a decomposition's cycles, built by complement_pairs.
 
     Edges are (i, k, r, s) with 1-based cycle indices i < k: vertex r
     of cycle i and vertex s of cycle k satisfy r + s = 2^n - 1.
     """
 
-    __slots__ = ('n', 'node_count', 'edges')
-
-    def __init__(self, n, node_count, edges):
-        size = (1 << n) - 1
-        edges = tuple(tuple(e) for e in edges)
-        for i, k, r, s in edges:
-            if not 1 <= i < k <= node_count:
-                raise ValueError(f'bad edge endpoints ({i}, {k})')
-            if r + s != size:
-                raise ValueError(f'({r}, {s}) is not a complementary pair')
-        object.__setattr__(self, 'n', n)
-        object.__setattr__(self, 'node_count', node_count)
-        object.__setattr__(self, 'edges', edges)
-
-    def __setattr__(self, name, v):
-        raise AttributeError('JoinGraph is immutable')
-
-    def __repr__(self):
-        return (f'JoinGraph(n={self.n}, nodes={self.node_count}, '
-                f'edges={self.edges})')
+    n: int
+    node_count: int
+    edges: Tuple[Tuple[int, int, int, int], ...]
 
 
 class JoinMatrix(NamedTuple):
@@ -119,7 +102,7 @@ def complement_pairs(dec):
             s = size - r
             if s in targets:
                 edges.append((i + 1, k + 1, r, s))
-    return JoinGraph(dec.n, len(dec.cycles), edges)
+    return JoinGraph(dec.n, len(dec.cycles), tuple(edges))
 
 
 def join_matrix(graph):

@@ -17,7 +17,6 @@ complexity and f(0) = 1 for any periodic sequence.
 from typing import NamedTuple
 
 from . import gf2poly
-from .gf2poly import Gf2Poly
 
 
 class BitSequence:
@@ -92,7 +91,7 @@ class BmResult(NamedTuple):
     """Outcome of Berlekamp-Massey: complexity and minimal polynomial."""
 
     linear_complexity: int
-    minimal_polynomial: Gf2Poly
+    minimal_polynomial: int
 
 
 def _parse_bits(text):
@@ -128,11 +127,6 @@ def canonical_rotation(s):
     return BitSequence.packed(best, s.period)
 
 
-def same_cycle(a, b):
-    """True when a and b are rotations of each other."""
-    return a.period == b.period and a.to_text() in b.to_text() * 2
-
-
 def berlekamp_massey(s):
     """Linear complexity and minimal polynomial of the periodic s.
 
@@ -159,7 +153,7 @@ def berlekamp_massey(s):
             c ^= b << m
             m += 1
     poly = int(format(c, f'0{length + 1}b')[::-1], 2)
-    return BmResult(length, Gf2Poly(poly))
+    return BmResult(length, poly)
 
 
 def _windows(s, n):

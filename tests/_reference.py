@@ -17,7 +17,7 @@ import itertools
 def to_list(value):
     """Coefficient list (index = exponent) of an integer-coded polynomial."""
     bits = []
-    v = int(value)
+    v = value
     while v:
         bits.append(v & 1)
         v >>= 1
@@ -55,13 +55,13 @@ def ref_mul(a, b):
 
 def ref_divmod(a, b):
     """Long division of integer-coded polynomials, returning (q, r)."""
-    if int(b) == 0:
+    if b == 0:
         raise ZeroDivisionError('reference division by zero')
     rem = to_list(a)
     den = to_list(b)
     deg_den = len(den) - 1
     if len(rem) < len(den):
-        return 0, int(a)
+        return 0, a
     quo = [0] * (len(rem) - deg_den)
     for pos in range(len(rem) - 1, deg_den - 1, -1):
         if rem[pos]:
@@ -74,7 +74,6 @@ def ref_divmod(a, b):
 
 def ref_gcd(a, b):
     """Euclidean gcd of integer-coded polynomials."""
-    a, b = int(a), int(b)
     while b:
         a, b = b, ref_divmod(a, b)[1]
     return a
@@ -153,6 +152,11 @@ def cyclic_windows(bits, n):
             w = (w << 1) | bits[(i + j) % period]
         out.append(w)
     return out
+
+
+def same_cycle(a, b):
+    """True when the BitSequences a and b are rotations of each other."""
+    return a.period == b.period and a.to_text() in b.to_text() * 2
 
 
 def ref_berlekamp_massey(bits):
@@ -246,7 +250,7 @@ def ref_lfsr_generate(charpoly, seed, count):
     charpoly is the integer-coded characteristic polynomial (degree
     m >= 1, constant term 1) and seed supplies the first m bits.
     """
-    f = int(charpoly)
+    f = charpoly
     m = f.bit_length() - 1
     if m < 1:
         raise ValueError('charpoly must have degree at least 1')

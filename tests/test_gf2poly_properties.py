@@ -29,32 +29,32 @@ def polys(draw, max_degree=1024, constant_term=False):
 @given(polys() | st.just(0), polys())
 def test_div_rem_matches_long_division(a, b):
     q, r = gf2poly.div_rem(a, b)
-    assert (int(q), int(r)) == ref.ref_divmod(a, b)
+    assert (q, r) == ref.ref_divmod(a, b)
 
 
 @kernels
 @given(polys() | st.just(0), polys() | st.just(0))
 def test_mul_matches_schoolbook(a, b):
-    assert int(gf2poly.mul(a, b)) == ref.ref_mul(a, b)
+    assert gf2poly.mul(a, b) == ref.ref_mul(a, b)
 
 
 @settings(kernels, max_examples=15)
 @given(polys(), polys())
 def test_gcd_matches_euclid(a, b):
-    assert int(gf2poly.gcd(a, b)) == ref.ref_gcd(a, b)
+    assert gf2poly.gcd(a, b) == ref.ref_gcd(a, b)
 
 
 @kernels
 @given(polys() | st.just(0))
 def test_derivative_matches_termwise(a):
-    assert int(gf2poly.derivative(a)) == ref.ref_derivative(a)
+    assert gf2poly.derivative(a) == ref.ref_derivative(a)
 
 
 @kernels
 @given(polys(constant_term=True))
 def test_reciprocal_matches_reversed_coefficients(a):
     r = gf2poly.reciprocal(a)
-    assert int(r) == ref.ref_reciprocal(a)
+    assert r == ref.ref_reciprocal(a)
     assert gf2poly.reciprocal(r) == a
 
 

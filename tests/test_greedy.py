@@ -10,6 +10,12 @@ from mdbs.gamma import HamCycle
 from mdbs.greedy import PsiDecomposition
 
 
+def hamiltonian_inits(n):
+    """Initial vertices from which prefer-complement closes a cycle."""
+    return {v for v in range(1, 1 << n)
+            if greedy.is_hamiltonian(greedy.prefer_complement(n, v), n)}
+
+
 def test_prefer_complement_known_walks():
     assert greedy.prefer_complement(4, 1) \
         == [1, 13, 5, 10, 11, 9, 2, 4, 7, 14, 3, 6, 12, 8, 15]
@@ -36,23 +42,19 @@ def test_is_hamiltonian():
 
 def test_hamiltonian_walks_validate_as_cycles():
     for n in (4, 5):
-        for v in greedy.hamiltonian_inits_prefer_complement(n):
+        for v in hamiltonian_inits(n):
             path = greedy.prefer_complement(n, v)
             HamCycle(path, n)
 
 
 def test_hamiltonian_init_sets():
-    assert greedy.hamiltonian_inits_prefer_complement(4) \
-        == {1, 3, 7, 8, 12, 14, 15}
-    assert greedy.hamiltonian_inits_prefer_complement(5) \
-        == {1, 3, 7, 15, 16, 24, 28, 30, 31}
-    with pytest.raises(ValueError):
-        greedy.hamiltonian_inits_prefer_complement(3)
+    assert hamiltonian_inits(4) == {1, 3, 7, 8, 12, 14, 15}
+    assert hamiltonian_inits(5) == {1, 3, 7, 15, 16, 24, 28, 30, 31}
 
 
 def test_distinct_cycle_count_is_order_minus_one():
     for n in (4, 5, 6):
-        inits = greedy.hamiltonian_inits_prefer_complement(n)
+        inits = hamiltonian_inits(n)
         cycles = {HamCycle(greedy.prefer_complement(n, v), n) for v in inits}
         assert len(cycles) == n - 1
 
@@ -81,8 +83,8 @@ def test_psi_decompose_visit_order_prefix():
     dec = greedy.psi_decompose(4, visit_order=(6, 4, 14))
     assert dec.cycles == ((6, 3, 9, 13, 5, 10, 11), (4, 7, 1, 2),
                           (14, 12, 8, 15))
-    assert dec.start_elements == (6, 4, 14)
-    assert dec.terminating_elements == (11, 2, 15)
+    assert tuple(c[0] for c in dec.cycles) == (6, 4, 14)
+    assert tuple(c[-1] for c in dec.cycles) == (11, 2, 15)
     assert dec.order[:3] == (6, 4, 14)
     assert dec.seed is None
 
@@ -152,7 +154,7 @@ def test_even_elements_preceded_by_their_complements():
         n = rng.choice((4, 5, 6))
         size = (1 << n) - 1
         dec = greedy.psi_decompose(n, seed=rng.randrange(1 << 30))
-        starts = set(dec.start_elements)
+        starts = {c[0] for c in dec.cycles}
         swept = []
         for cycle in dec.cycles:
             for v in cycle:

@@ -53,13 +53,6 @@ def test_complement_pairs_all_sum_correctly():
             assert r + s == (1 << n) - 1
 
 
-def test_join_graph_validation():
-    with pytest.raises(ValueError):
-        JoinGraph(4, 2, [(1, 1, 7, 8)])
-    with pytest.raises(ValueError):
-        JoinGraph(4, 2, [(1, 2, 7, 9)])
-
-
 def test_join_matrix_worked_values():
     matrix = joiner.join_matrix(joiner.complement_pairs(WORKED))
     assert matrix.entries == ((3, -2, -1), (-2, 4, -2), (-1, -2, 3))
