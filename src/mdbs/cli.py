@@ -7,9 +7,10 @@ enumerating Hamiltonian cycles with their minimal-polynomial reports,
 verifying sequences and cycles, and reproducing the bundled reference
 tables.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 exhaustive-guard
-refusal, 4 verification failure.  Given the same configuration
-(including seeds) every command writes byte-identical output.
+Exit codes: 0 success, 2 usage, malformed input or an order too large
+to index, 3 exhaustive-guard refusal, 4 verification failure.  Given
+the same configuration (including seeds) every command writes
+byte-identical output.
 """
 
 import argparse
@@ -319,8 +320,7 @@ def cmd_verify(cfg):
         try:
             seq = seqkit.parse_sequence(text)
         except ValueError as exc:
-            print(f'error: {exc}', file=sys.stderr)
-            return EXIT_USAGE
+            return _usage(exc)
         n = cfg.n
         if n is None:
             period = seq.period
@@ -329,9 +329,7 @@ def cmd_verify(cfg):
             elif period & (period - 1) == 0:
                 n = period.bit_length() - 1
             else:
-                print('error: cannot infer the order; pass --n',
-                      file=sys.stderr)
-                return EXIT_USAGE
+                return _usage('cannot infer the order; pass --n')
         debruijn = seq.period == (1 << n) and seqkit.is_de_bruijn(seq, n)
         mdb = (seq.period == (1 << n) - 1
                and seqkit.is_modified_de_bruijn(seq, n))
@@ -439,9 +437,8 @@ def main(argv=None):
         return EXIT_GUARD
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return _usage(exc)
 
 
 if __name__ == '__main__':

@@ -10,9 +10,10 @@ quotient term to the next; gcd and pow_mod reduce with a
 remainder-only loop that builds no quotient.  The derivative,
 reciprocal and text forms act on the whole int at once.
 
-Arguments are taken to be nonnegative ints and are not coerced; text
-is the checked boundary.  Three interchangeable text forms are
-supported:
+Arguments are nonnegative ints and are not coerced; mul, div_rem, gcd
+and pow_mod refuse a negative one, on which their loops would never
+end.  Text is the checked boundary.  Three interchangeable text forms
+are supported:
 
 * symbolic   -- "x^10+x^8+x^5+x+1"
 * binary     -- coefficient string, most significant first: "10100100011"
@@ -41,6 +42,8 @@ def mul(a, b):
     """Product of polynomials a and b (shift-and-xor schoolbook)."""
     if a < b:
         a, b = b, a
+    if b < 0:
+        raise ValueError('polynomials are nonnegative ints')
     c = 0
     while b:
         if b & 1:
@@ -57,6 +60,8 @@ def div_rem(a, b):
     """
     if b == 0:
         raise ZeroDivisionError('division by zero polynomial')
+    if a < 0 or b < 0:
+        raise ValueError('polynomials are nonnegative ints')
     q = 0
     while (shift := a.bit_length() - b.bit_length()) >= 0:
         a ^= b << shift
@@ -73,8 +78,8 @@ def _rem(a, b):
 
 def pow_mod(a, e, m):
     """a raised to the integer power e, modulo the nonzero polynomial m."""
-    if e < 0:
-        raise ValueError('negative exponent')
+    if min(a, e, m) < 0:
+        raise ValueError('pow_mod arguments must be nonnegative')
     if m == 0:
         raise ZeroDivisionError('division by zero polynomial')
     r = 1
@@ -91,10 +96,10 @@ def gcd(a, b):
     """Greatest common divisor of a and b; gcd(a, 0) = a.
 
     Over GF(2) every nonzero polynomial is monic, so no normalization
-    step is needed.  Both arguments zero is rejected.
+    step is needed.  Two zeros or a negative argument are rejected.
     """
-    if a == 0 and b == 0:
-        raise ValueError('gcd(0, 0) is undefined')
+    if a == b == 0 or min(a, b) < 0:
+        raise ValueError('gcd needs nonnegative ints, not both zero')
     while b:
         a, b = b, _rem(a, b)
     return a

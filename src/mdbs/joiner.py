@@ -1,30 +1,29 @@
 """Joining disjoint vertex cycles into one Hamiltonian cycle.
 
 Two vertices r and s are a complementary pair when r + s = 2^n - 1;
-such vertices share the same pair of predecessors, so two disjoint
-cycles through r and s can be spliced into one cycle by exchanging the
-predecessors.  The join graph of a decomposition has one node per
-cycle and one edge per cross-cycle complementary pair; every spanning
-tree of that graph yields one joined Hamiltonian cycle, and the number
-of spanning trees is counted exactly by the classic matrix-tree
-cofactor (computed with fraction-free integer elimination).
+they share the two predecessors q and q + 2^(n-1), each with arcs to
+both, so two disjoint cycles through r and s are spliced into one by
+swapping which predecessor enters r and which enters s.  The join graph
+of a decomposition has one node per cycle and one edge per cross-cycle
+complementary pair; every spanning tree of that graph yields one joined
+Hamiltonian cycle, and the number of spanning trees is counted exactly
+by the classic matrix-tree cofactor (computed with fraction-free
+integer elimination).
 
-Different spanning trees give different cycles.  r and its complement
-s have the same two predecessors q and q + 2^(n-1), each with arcs to
-both, and a splice at (r, s) swaps which predecessor enters r and which
-enters s.  Different pairs touch disjoint arcs, so the swaps commute: a
-tree's cycle is the decomposition's arc set with exactly that tree's
-pairs swapped, and two trees differ in the arcs into some pair.  The
-number of distinct joined cycles is therefore the tree count, known
-before any merge, and a caller that wants k cycles merges only k.
-Trees are listed by backtracking whose work grows with the number of
-trees, and graphs above MAX_EXHAUSTIVE_EDGES edges are refused.  A
-tree's joins and join_all's lowest-pair-first joins go through one
-merge routine, which splices without join_pair's checks; HamCycle
-validates every joined cycle.
+Different spanning trees give different cycles.  Different pairs touch
+disjoint arcs, so the swaps commute: a tree's cycle is the
+decomposition's arc set with exactly that tree's pairs swapped, and two
+trees differ in the arcs into some pair.  The number of distinct joined
+cycles is therefore the tree count, known before any merge, and a
+caller that wants k cycles merges only k.  Trees are listed by
+backtracking whose work grows with the number of trees, and graphs
+above MAX_EXHAUSTIVE_EDGES edges are refused.  A merge is that swap on
+one table per decomposition of every vertex's successor, predecessor
+and cycle: copy the successors, swap them at each pair and walk once;
+HamCycle validates every joined cycle.  The pair scan reads the table's
+cycle owners in one pass.
 """
 
-import itertools
 import warnings
 from typing import NamedTuple, Tuple
 
@@ -87,21 +86,27 @@ def _det(m):
     return sign * m[-1][-1]
 
 
+def _table(dec):
+    """Successor, predecessor and 1-based cycle (0 if none) by vertex."""
+    succ, pred, owner = ([0] * (1 << dec.n) for _ in range(3))
+    for i, c in enumerate(dec.cycles, 1):
+        for a, b in zip(c, c[1:] + c[:1]):
+            succ[a], pred[b], owner[a] = b, a, i
+    return succ, pred, owner
+
+
 def complement_pairs(dec):
     """Join graph of a decomposition.
 
-    Cycle pairs are scanned in index order and, within a pair, edges
-    appear in the position order of r inside the lower-indexed cycle,
-    so the edge list is deterministic.
+    One pass lists each edge from its lower-indexed cycle, in the
+    position order of r there; a stable sort on the cycle pair keeps
+    that order, so the edge list is deterministic.
     """
     size = (1 << dec.n) - 1
-    edges = []
-    for i, k in itertools.combinations(range(len(dec.cycles)), 2):
-        targets = set(dec.cycles[k])
-        for r in dec.cycles[i]:
-            s = size - r
-            if s in targets:
-                edges.append((i + 1, k + 1, r, s))
+    owner = _table(dec)[2]
+    edges = sorted(((i, owner[size - r], r, size - r)
+                    for i, c in enumerate(dec.cycles, 1) for r in c
+                    if owner[size - r] > i), key=lambda e: e[:2])
     return JoinGraph(dec.n, len(dec.cycles), tuple(edges))
 
 
@@ -196,71 +201,64 @@ def join_pair(cycle_a, cycle_b, r, s):
         raise ValueError(f'vertex {s} is not on the second cycle')
     if set(a) & set(b):
         raise ValueError('cycles are not disjoint')
-    return _splice(a, b, r, s)
-
-
-def _splice(a, b, r, s):
-    """join_pair on lists without its checks: r on a, s on b, disjoint."""
     ia, ib = a.index(r), b.index(s)
     return a[:ia] + b[ib:] + b[:ib] + a[ia:]
 
 
-def _merge(dec, pairs):
-    """Splice each (r, s) whose ends lie on different current cycles.
+def _merge(dec, succ, pred, pairs):
+    """Swap the successors of each pair's predecessors, then walk once.
 
-    Only the absorbed cycle is relabelled; the joined cycle is rotated
-    to start at the decomposition's first vertex.
+    Each (r, s) must join two components; the walk from the first
+    vertex falls short unless the pairs join every cycle.
     """
-    parts = [list(c) for c in dec.cycles]
-    locate = {v: i for i, c in enumerate(parts) for v in c}
+    succ = succ[:]
     for r, s in pairs:
-        ia, ib = locate.get(r), locate.get(s)
-        if ia is None or ib is None or ia == ib:
-            continue
-        parts[ia] = _splice(parts[ia], parts[ib], r, s)
-        for v in parts[ib]:
-            locate[v] = ia
-        parts[ib] = None
-    live = [p for p in parts if p]
-    if len(live) > 1:
+        succ[pred[r]], succ[pred[s]] = s, r
+    walk = [dec.cycles[0][0]]
+    while (v := succ[walk[-1]]) != walk[0]:
+        walk.append(v)
+    if len(walk) < sum(map(len, dec.cycles)):
         raise ValueError('cycles admit no cross complementary pair')
-    start = live[0].index(dec.cycles[0][0])
-    return HamCycle(live[0][start:] + live[0][:start], dec.n)
+    return HamCycle(walk, dec.n)
 
 
 def enumerate_joined_cycles(dec):
     """One joined cycle per spanning tree of the decomposition's graph.
 
-    Yields (pairs, cycle) where pairs are the (r, s) joins of the tree
-    in application order.  The merge result is independent of the
-    order the tree edges are applied in; each cycle is rotated to start
-    at the decomposition's first vertex.  The trees are listed up front
-    (the edge guard may refuse), but each cycle is merged only when it
-    is drawn, and no two trees yield the same cycle, so the stream
-    holds best_count(graph) distinct cycles.  A decomposition whose join
-    graph is disconnected yields nothing (with a warning), which cannot
-    happen for decompositions produced by a full greedy sweep.
+    Yields (pairs, cycle) where pairs are the tree's (r, s) joins in
+    edge order, and each cycle starts at the decomposition's first
+    vertex.  The trees are listed up front (the edge guard may refuse),
+    but each cycle is merged only when it is drawn, and no two trees
+    yield the same cycle, so the stream holds best_count(graph)
+    distinct cycles.  A decomposition whose join graph is disconnected
+    yields nothing (with a warning), which cannot happen for
+    decompositions produced by a full greedy sweep.
     """
     graph = complement_pairs(dec)
     trees = spanning_trees(graph)
     if not trees:
         warnings.warn('join graph is disconnected; nothing to join',
                       RuntimeWarning, stacklevel=2)
-
-    def _stream():
-        for tree in trees:
-            pairs = tuple(graph.edges[idx][2:] for idx in tree)
-            yield pairs, _merge(dec, pairs)
-
-    return _stream()
+    succ, pred, _ = _table(dec)
+    joins = (tuple(graph.edges[idx][2:] for idx in tree) for tree in trees)
+    return ((pairs, _merge(dec, succ, pred, pairs)) for pairs in joins)
 
 
 def join_all(dec):
     """Join a whole decomposition into one cycle, lowest pair first.
 
-    Components only merge, so one ascending scan of (r, 2^n - 1 - r)
-    joins the smallest cross pair of every round; the result starts at
-    the decomposition's first vertex.
+    Components, kept as one label per cycle as in spanning_trees (0 for
+    vertices on no cycle), only merge, so one ascending scan of
+    (r, 2^n - 1 - r), r < 2^(n-1), joins the smallest cross pair of
+    every round; the result starts at the decomposition's first vertex.
     """
     size = (1 << dec.n) - 1
-    return _merge(dec, ((r, size - r) for r in range(1, size)))
+    succ, pred, owner = _table(dec)
+    label = list(range(len(dec.cycles) + 1))
+    pairs = []
+    for r in range(1, 1 << (dec.n - 1)):
+        li, lk = label[owner[r]], label[owner[size - r]]
+        if li and lk and li != lk:
+            label = [lk if x == li else x for x in label]
+            pairs.append((r, size - r))
+    return _merge(dec, succ, pred, pairs)

@@ -6,9 +6,9 @@ spanning trees are listed by checking every edge subset, greedy walks
 keep a visited set, LFSR
 streams, generator walks and Berlekamp-Massey discrepancies are
 stepped one bit at a time, cycles are rebuilt from their labels by
-XORing one mask per label, and cycles are joined one smallest cross
-pair per round.  Slow but easy to audit
-by hand.
+XORing one mask per label, join-graph edges are found with one vertex
+set per cycle pair, and cycles are joined one smallest cross pair per
+round.  Slow but easy to audit by hand.
 """
 
 import itertools
@@ -294,6 +294,22 @@ def ref_walk_of_generator(g, n):
         if w >> (size - 1):
             w ^= f
     return walk
+
+
+def ref_complement_pairs(cycles, n):
+    """Join-graph edges (i, k, r, s), one vertex set per cycle pair.
+
+    Cycle pairs come in itertools.combinations order with 1-based
+    indices, and within a pair r runs in its position order on cycle i.
+    """
+    size = (1 << n) - 1
+    edges = []
+    for i, k in itertools.combinations(range(len(cycles)), 2):
+        targets = set(cycles[k])
+        for r in cycles[i]:
+            if size - r in targets:
+                edges.append((i + 1, k + 1, r, size - r))
+    return tuple(edges)
 
 
 def ref_join_all(cycles, n):

@@ -218,6 +218,19 @@ def test_join_nonpositive_limit_prints_header_and_footer(capsys, monkeypatch,
     assert calls == {}
 
 
+def test_join_builds_one_table_per_decomposition(capsys, monkeypatch):
+    # The vertex table does not depend on the tree count: 1 row or 7744.
+    counts = []
+    for extra in (['--limit', '1'], []):
+        calls = {}
+        _count_calls(monkeypatch, joiner, '_table', calls)
+        assert cli.main(['join', '--n', '6', '--seed', '208'] + extra) == 0
+        counts.append(calls['_table'])
+        monkeypatch.undo()
+    capsys.readouterr()
+    assert counts[0] == counts[1]
+
+
 def test_join_single_cycle_identity(capsys):
     assert cli.main(['join', '--n', '4']) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -432,6 +445,17 @@ def test_tables_guard_refusal(capsys, monkeypatch):
     monkeypatch.delenv(gamma.EXHAUSTIVE_MAX_ENV, raising=False)
     assert cli.main(['tables', '--n', '7', '--which', '1']) == 3
     assert capsys.readouterr().err.startswith('refused:')
+
+
+@pytest.mark.parametrize('argv', [
+    'greedy --n 100 --v-init 1', 'greedy --n 100 --all', 'decompose --n 100',
+    'join --n 100'])
+def test_order_too_large_to_index_exits_2(capsys, argv):
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('error: ')
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_run_accepts_config_directly(capsys):

@@ -56,6 +56,17 @@ def test_pow_mod_rejects_zero_modulus_and_negative_exponent():
         gf2poly.pow_mod(gf2poly.parse('x'), -1, F4)
 
 
+@pytest.mark.parametrize('name, args', [
+    ('mul', (1, -1)), ('mul', (-1, 1)), ('div_rem', (-1, 1)),
+    ('div_rem', (1, -1)), ('gcd', (-1, 1)), ('gcd', (1, -1)),
+    ('gcd', (-1, 0)), ('pow_mod', (2, 3, -3)), ('pow_mod', (-2, 3, 7)),
+])
+def test_negative_operands_raise(name, args):
+    # The shift-and-XOR loops never end on a negative int.
+    with pytest.raises(ValueError):
+        getattr(gf2poly, name)(*args)
+
+
 def test_div_rem_known_values():
     q, r = gf2poly.div_rem(F4, gf2poly.parse('x^2+x+1'))
     assert q == gf2poly.parse('x^12+x^9+x^6+x^3+1')

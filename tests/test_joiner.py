@@ -53,6 +53,22 @@ def test_complement_pairs_all_sum_correctly():
             assert r + s == (1 << n) - 1
 
 
+def test_complement_pairs_match_reference_in_order():
+    # The edge order fixes the tree order, so it is compared too.
+    cases = [(n, seed) for n in range(3, 13) for seed in range(5)]
+    for n, seed in cases + [(16, 0)]:
+        dec = greedy.psi_decompose(n, seed=seed)
+        assert (joiner.complement_pairs(dec).edges
+                == ref.ref_complement_pairs(dec.cycles, n)), (n, seed)
+
+
+def test_complement_pairs_skip_vertices_on_no_cycle():
+    partial = PsiDecomposition(4, [(6, 3, 9, 2, 4), (7, 1, 13, 5, 10, 11)])
+    assert (joiner.complement_pairs(partial).edges
+            == ref.ref_complement_pairs(partial.cycles, 4)
+            == ((1, 2, 2, 13), (1, 2, 4, 11)))
+
+
 def test_join_matrix_worked_values():
     matrix = joiner.join_matrix(joiner.complement_pairs(WORKED))
     assert matrix.entries == ((3, -2, -1), (-2, 4, -2), (-1, -2, 3))
