@@ -10,7 +10,8 @@ repeats c_H * (x + 1), so that product is one period of the labels,
 read highest power first.  Its degree N - n leaves the top n - 1
 coefficients zero, which picks the rotation that starts at the one
 run of n - 1 zero labels, n - 1 places before the all-ones vertex.
-Dividing that period by x + 1 gives c_H.
+Dividing that period by x + 1 gives c_H, in closed form: each
+quotient coefficient is the XOR of the label bits above it.
 
 The minimal polynomial of the cycle's label sequence follows from the
 reduced fraction c_H / F: with d = gcd(c_H, F) and f = F / d, the
@@ -40,6 +41,29 @@ class MinPolyReport(NamedTuple):
     bm_check: int
 
 
+def _div_by_x_plus_1(v):
+    """v / (x + 1) in closed form, for v of even weight.
+
+    q (x + 1) = v makes each coefficient of q the XOR of the
+    coefficients of v above it, a prefix XOR that log2(deg v) doubling
+    steps compute.  An odd weight leaves remainder 1 and is an error.
+    """
+    if v.bit_count() & 1:
+        raise RuntimeError('internal error: labels have odd weight')
+    q = v >> 1
+    k = 1
+    while k < v.bit_length():
+        q ^= q >> k
+        k <<= 1
+    return q
+
+
+def _generator(cycle, labels):
+    """c_H from the cycle's label sequence `labels`."""
+    top = cycle.vertices.index((1 << cycle.n) - 1)
+    return _div_by_x_plus_1(shift(labels, top - cycle.n).value)
+
+
 def canonical_generator(cycle):
     """The unique generator with constant term 1 of a Hamiltonian cycle.
 
@@ -47,12 +71,7 @@ def canonical_generator(cycle):
     the all-ones vertex and read highest power first, are c_H * (x + 1).
     Returns a polynomial of degree 2^n - n - 2 with constant term 1.
     """
-    top = cycle.vertices.index((1 << cycle.n) - 1)
-    labels = shift(cycle_to_sequence(cycle), top - cycle.n)
-    c_h, rem = gf2poly.div_rem(labels.value, 3)
-    if rem:
-        raise RuntimeError('internal error: labels have odd weight')
-    return c_h
+    return _generator(cycle, cycle_to_sequence(cycle))
 
 
 def _lowest_terms(c_h, f):
@@ -89,9 +108,10 @@ def minimal_polynomial_of_cycle(cycle):
     is the Berlekamp-Massey minimal polynomial of the label sequence,
     which must equal f.
     """
-    c_h = canonical_generator(cycle)
+    labels = cycle_to_sequence(cycle)
+    c_h = _generator(cycle, labels)
     d, f = _lowest_terms(c_h, build_F(cycle.n))
-    bm = berlekamp_massey(cycle_to_sequence(cycle))
+    bm = berlekamp_massey(labels)
     return MinPolyReport(
         c_h=c_h,
         d=d,

@@ -168,15 +168,21 @@ def cmd_greedy(cfg):
               else greedy.modified_prefer_double)
     if cfg.all_inits:
         fmt = cfg.format or 'jsonl'
+        names, alg = None, json.dumps(cfg.alg)
         for v in range(1, (1 << cfg.n)):
             path = walker(cfg.n, v)
             ham = greedy.is_hamiltonian(path, cfg.n)
+            if names is None:
+                # The first walk has checked n, so the table fits.
+                names = [str(x) for x in range(1 << cfg.n)]
+            verts = [names[x] for x in path]
             if fmt == 'jsonl':
-                print(json.dumps({'n': cfg.n, 'alg': cfg.alg, 'v_init': v,
-                                  'vertices': path, 'hamiltonian': ham}))
+                # The bytes json.dumps writes for this record.
+                print(f'{{"n": {cfg.n}, "alg": {alg}, "v_init": {v}, '
+                      f'"vertices": [{", ".join(verts)}], '
+                      f'"hamiltonian": {"true" if ham else "false"}}}')
             else:
-                verts = ','.join(str(x) for x in path)
-                print(f'{v}\t{ham}\t{verts}')
+                print(f'{v}\t{ham}\t{",".join(verts)}')
         return EXIT_OK
     if cfg.v_init is None:
         return _usage('greedy needs --v-init or --all')
@@ -437,7 +443,11 @@ def main(argv=None):
         return EXIT_GUARD
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except OverflowError as exc:
+        if config.n is None:
+            return _usage(exc)
+        return _usage(f'order {config.n} is too large to index ({exc})')
+    except (ValueError, ZeroDivisionError) as exc:
         return _usage(exc)
 
 

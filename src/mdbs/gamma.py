@@ -19,10 +19,13 @@ Every order has exactly one self-loop, on a complement arc, at vertex
 Reading off the arc labels around a Hamiltonian cycle yields a binary
 sequence of period 2^n - 1 in which every nonzero n-bit window occurs
 exactly once, and conversely each such sequence traces a Hamiltonian
-cycle.  Exhaustive cycle enumeration is exponential and therefore sits
-behind a guard: orders above the configured ceiling (environment
-variable MDBS_EXHAUSTIVE_MAX, default 6) are refused unless explicitly
-overridden.
+cycle.  Exhaustive cycle enumeration lists the 2^(2^(n-1) - n) cycles
+by a depth-first search from the all-ones vertex that tries the double
+arc before the complement arc, which lists them in lexicographic order
+of their label sequences read from that vertex.  It is exponential and
+therefore sits behind a guard: orders above the configured ceiling
+(environment variable MDBS_EXHAUSTIVE_MAX, default 6) are refused
+unless explicitly overridden.
 """
 
 import itertools
@@ -216,8 +219,8 @@ class HamCycle:
 def cycle_to_sequence(cycle):
     """Arc labels around a cycle, starting from its stored first vertex."""
     verts = cycle.vertices
-    labels = ''.join('01'[v & 1] for v in verts[1:] + verts[:1])
-    return BitSequence.packed(int(labels, 2), len(verts))
+    labels = ''.join(['01'[v & 1] for v in verts])
+    return BitSequence.packed(int(labels[1:] + labels[0], 2), len(verts))
 
 
 def cycle_from_sequence(s, n=None):
@@ -245,46 +248,63 @@ def enumerate_hamiltonian(n, limit=None, override_guard=False):
     """All Hamiltonian cycles of order n, canonically rotated.
 
     Depth-first search from the all-ones start vertex, exploring the
-    double arc before the complement arc, so the stream order is
-    deterministic.  `limit` truncates the stream.  Orders above the
+    double arc (label 0) before the complement arc (label 1), so the
+    stream is in lexicographic order of the label sequences read from
+    that vertex.  `limit` truncates the stream.  Orders above the
     exhaustive guard (see guard_exhaustive) raise GuardRefusal unless
     `override_guard` is set.
     """
     _check_order(n, minimum=3)
     guard_exhaustive(n, override_guard)
-    cycles = _hamiltonian_dfs(build(n))
+    cycles = _hamiltonian_dfs(n)
     if limit is None:
         return cycles
     return itertools.islice(cycles, max(limit, 0))
 
 
-def _hamiltonian_dfs(graph):
-    """Hamiltonian cycles of the graph, by DFS with an explicit stack.
+def _hamiltonian_dfs(n):
+    """Hamiltonian cycles of order n, by DFS over a stack of branches.
 
-    `pending[k]` iterates the untried successors of `path[k]`.
+    `used` has slot 0 preset, so the missing double arc reads as used.
+    A vertex with one free target moves on to it and pushes nothing; one
+    with two pushes (len(path), complement target) and takes the double
+    target.  A dead end pops the last branch, unmarks path[k:] and
+    truncates the path before taking the branch's complement target.
+
+    h = 2^(n-1) has no double arc, and its complement arc enters the
+    start 2^n - 1, so it is the last vertex of every cycle: `used[h]` is
+    preset too, and a full path closes through h.  The two targets of a
+    vertex a share the two predecessors a and a ^ h, so when a has just
+    been entered, at most one of them, entered from a ^ h, is on the
+    path; both read as used only when the other is h.  Dead ends thus
+    occur only at the two predecessors 2^(n-2) and 3 * 2^(n-2) of h.
     """
-    double, comp = graph.double, graph.comp
-    size = (1 << graph.n) - 1
-    start = size
+    size = (1 << n) - 1
+    h = (size + 1) >> 1
     used = bytearray(size + 1)
-    used[start] = 1
-    path = [start]
-    pending = [iter((double[start], comp[start]))]
-    while pending:
-        for b in pending[-1]:
-            if b and not used[b]:
-                used[b] = 1
-                path.append(b)
-                if len(path) < size:
-                    pending.append(iter((double[b], comp[b])))
-                    break
-                if start in (double[b], comp[b]):
-                    yield HamCycle(tuple(path), graph.n)
-                path.pop()
-                used[b] = 0
+    used[0] = used[h] = used[size] = 1
+    path = [size]
+    branches = []
+    a = size
+    while True:
+        d = (a << 1) & size
+        if not used[d]:
+            if not used[d ^ size]:
+                branches.append((len(path), d ^ size))
+            a = d
         else:
-            pending.pop()
-            used[path.pop()] = 0
+            a = d ^ size
+            if used[a]:
+                if len(path) == size - 1:
+                    yield HamCycle((*path, h), n)
+                if not branches:
+                    return
+                k, a = branches.pop()
+                for v in path[k:]:
+                    used[v] = 0
+                del path[k:]
+        used[a] = 1
+        path.append(a)
 
 
 def dot_export(graph, highlight=None):

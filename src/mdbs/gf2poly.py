@@ -8,7 +8,8 @@ polynomial.  Addition is XOR, and every nonzero polynomial is monic,
 which keeps gcd normalization trivial.  Division jumps from one
 quotient term to the next; gcd and pow_mod reduce with a
 remainder-only loop that builds no quotient.  The derivative,
-reciprocal and text forms act on the whole int at once.
+reciprocal and text forms act on the whole int at once; symbolic text
+selects its terms from a cached table of x^i strings.
 
 Arguments are nonnegative ints and are not coerced; mul, div_rem, gcd
 and pow_mod refuse a negative one, on which their loops would never
@@ -25,7 +26,14 @@ and exceeds 1), expands rational power series, and counts irreducible
 polynomials by degree.
 """
 
+import itertools
+
 _HEX_DIGITS = frozenset('0123456789abcdefABCDEF')
+
+#: Symbolic text of x^i at index i, grown to the largest degree rendered.
+_TERMS = ['1', 'x']
+#: Maps the digits of format(a, 'b') to 0/1 selector bytes.
+_BITS = bytes.maketrans(b'01', b'\0\1')
 
 
 def degree(a):
@@ -227,11 +235,12 @@ def to_text(a, fmt='symbolic'):
     if fmt == 'symbolic':
         if a == 0:
             return '0'
-        d = degree(a)
-        powers = (d - k for k, bit in enumerate(format(a, 'b'))
-                  if bit == '1')
-        return '+'.join('1' if i == 0 else 'x' if i == 1 else f'x^{i}'
-                        for i in powers)
+        bits = format(a, 'b')
+        d = len(bits) - 1
+        if d >= len(_TERMS):
+            _TERMS.extend(f'x^{i}' for i in range(len(_TERMS), d + 1))
+        return '+'.join(itertools.compress(_TERMS[d::-1],
+                                           bits.encode().translate(_BITS)))
     if fmt == 'binary':
         return format(a, 'b') if a else '0'
     if fmt == 'hex':

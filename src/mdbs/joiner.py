@@ -21,9 +21,12 @@ above MAX_EXHAUSTIVE_EDGES edges are refused.  A merge is that swap on
 one table per decomposition of every vertex's successor, predecessor
 and cycle: copy the successors, swap them at each pair and walk once;
 HamCycle validates every joined cycle.  The pair scan reads the table's
-cycle owners in one pass.
+cycle owners in one pass, and the table and pair graph of the last
+decomposition are cached, so reading the graph and then streaming the
+joins builds each once.
 """
 
+import functools
 import warnings
 from typing import NamedTuple, Tuple
 
@@ -95,6 +98,25 @@ def _table(dec):
     return succ, pred, owner
 
 
+@functools.lru_cache(maxsize=1)
+def _plan(dec):
+    """Successors, predecessors and the join graph of a decomposition.
+
+    Built from one _table and cached for the last decomposition, so a
+    caller that reads the graph and then streams the joins builds each
+    once.  A decomposition is immutable and hashed by identity, and the
+    tables come back as tuples, so no caller can change what a later
+    cache hit returns.
+    """
+    size = (1 << dec.n) - 1
+    succ, pred, owner = _table(dec)
+    edges = sorted(((i, owner[size - r], r, size - r)
+                    for i, c in enumerate(dec.cycles, 1) for r in c
+                    if owner[size - r] > i), key=lambda e: e[:2])
+    graph = JoinGraph(dec.n, len(dec.cycles), tuple(edges))
+    return tuple(succ), tuple(pred), graph
+
+
 def complement_pairs(dec):
     """Join graph of a decomposition.
 
@@ -102,12 +124,7 @@ def complement_pairs(dec):
     position order of r there; a stable sort on the cycle pair keeps
     that order, so the edge list is deterministic.
     """
-    size = (1 << dec.n) - 1
-    owner = _table(dec)[2]
-    edges = sorted(((i, owner[size - r], r, size - r)
-                    for i, c in enumerate(dec.cycles, 1) for r in c
-                    if owner[size - r] > i), key=lambda e: e[:2])
-    return JoinGraph(dec.n, len(dec.cycles), tuple(edges))
+    return _plan(dec)[2]
 
 
 def join_matrix(graph):
@@ -211,7 +228,7 @@ def _merge(dec, succ, pred, pairs):
     Each (r, s) must join two components; the walk from the first
     vertex falls short unless the pairs join every cycle.
     """
-    succ = succ[:]
+    succ = list(succ)
     for r, s in pairs:
         succ[pred[r]], succ[pred[s]] = s, r
     walk = [dec.cycles[0][0]]
@@ -234,12 +251,11 @@ def enumerate_joined_cycles(dec):
     yields nothing (with a warning), which cannot happen for
     decompositions produced by a full greedy sweep.
     """
-    graph = complement_pairs(dec)
+    succ, pred, graph = _plan(dec)
     trees = spanning_trees(graph)
     if not trees:
         warnings.warn('join graph is disconnected; nothing to join',
                       RuntimeWarning, stacklevel=2)
-    succ, pred, _ = _table(dec)
     joins = (tuple(graph.edges[idx][2:] for idx in tree) for tree in trees)
     return ((pairs, _merge(dec, succ, pred, pairs)) for pairs in joins)
 

@@ -7,8 +7,10 @@ keep a visited set, LFSR
 streams, generator walks and Berlekamp-Massey discrepancies are
 stepped one bit at a time, cycles are rebuilt from their labels by
 XORing one mask per label, join-graph edges are found with one vertex
-set per cycle pair, and cycles are joined one smallest cross pair per
-round.  Slow but easy to audit by hand.
+set per cycle pair, cycles are joined one smallest cross pair per
+round, Hamiltonian cycles are searched with one iterator per level,
+and symbolic text is built one generator step per set bit.  Slow but
+easy to audit by hand.
 """
 
 import itertools
@@ -364,3 +366,48 @@ def ref_greedy_walk(n, v_init, prefer_double, used=None):
             return path
         used.add(nxt)
         path.append(nxt)
+
+
+def ref_hamiltonian_cycles(n):
+    """Hamiltonian cycles of order n as vertex tuples, from 2^n - 1.
+
+    Depth-first search with an explicit stack: `pending[k]` iterates
+    the untried targets of `path[k]`, the double target 2a mod 2^n (no
+    arc when that is 0) before the complement target 2^n - 1 minus it.
+    """
+    size = (1 << n) - 1
+
+    def targets(a):
+        d = (a << 1) & size
+        return (d or None, size ^ d)
+
+    start = size
+    used = bytearray(size + 1)
+    used[start] = 1
+    path = [start]
+    pending = [iter(targets(start))]
+    while pending:
+        for b in pending[-1]:
+            if b and not used[b]:
+                used[b] = 1
+                path.append(b)
+                if len(path) < size:
+                    pending.append(iter(targets(b)))
+                    break
+                if start in targets(b):
+                    yield tuple(path)
+                path.pop()
+                used[b] = 0
+        else:
+            pending.pop()
+            used[path.pop()] = 0
+
+
+def ref_to_text(a):
+    """Symbolic text of an int-coded polynomial, highest power first."""
+    if a == 0:
+        return '0'
+    d = a.bit_length() - 1
+    powers = (d - k for k, bit in enumerate(format(a, 'b')) if bit == '1')
+    return '+'.join('1' if i == 0 else 'x' if i == 1 else f'x^{i}'
+                    for i in powers)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference as ref
 from mdbs import canonical, gamma, gf2poly, greedy, joiner, seqkit
@@ -40,6 +41,19 @@ def test_shifted_generators_give_the_same_cycle():
             shifted = ref.ref_divmod(c_h << k, F4)[1]
             walk = ref.ref_walk_of_generator(shifted, 4)
             assert HamCycle(walk, 4) == cycle
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.one_of(st.integers(0, 1 << 70),
+                 st.integers(0, 6000).flatmap(
+                     lambda d: st.integers(1 << d, (2 << d) - 1))))
+def test_division_by_x_plus_1_matches_long_division(v):
+    q, r = gf2poly.div_rem(v, 3)
+    if r:
+        with pytest.raises(RuntimeError):
+            canonical._div_by_x_plus_1(v)
+    else:
+        assert canonical._div_by_x_plus_1(v) == q
 
 
 def test_canonical_generator_known_recoveries():

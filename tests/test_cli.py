@@ -219,16 +219,15 @@ def test_join_nonpositive_limit_prints_header_and_footer(capsys, monkeypatch,
 
 
 def test_join_builds_one_table_per_decomposition(capsys, monkeypatch):
-    # The vertex table does not depend on the tree count: 1 row or 7744.
-    counts = []
+    # One vertex table and one pair graph, whether 1 row or 7744.
     for extra in (['--limit', '1'], []):
         calls = {}
-        _count_calls(monkeypatch, joiner, '_table', calls)
+        for name in ('_table', 'complement_pairs'):
+            _count_calls(monkeypatch, joiner, name, calls)
         assert cli.main(['join', '--n', '6', '--seed', '208'] + extra) == 0
-        counts.append(calls['_table'])
+        assert calls == {'_table': 1, 'complement_pairs': 1}
         monkeypatch.undo()
     capsys.readouterr()
-    assert counts[0] == counts[1]
 
 
 def test_join_single_cycle_identity(capsys):
@@ -454,7 +453,7 @@ def test_order_too_large_to_index_exits_2(capsys, argv):
     assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ''
-    assert captured.err.startswith('error: ')
+    assert captured.err.startswith('error: order 100 is too large')
     assert len(captured.err.splitlines()) == 1
 
 

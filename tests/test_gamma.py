@@ -1,5 +1,6 @@
 """Unit tests for the doubling/complement digraph and its cycles."""
 
+import itertools
 import random
 
 import pytest
@@ -261,6 +262,26 @@ def test_enumeration_limit():
     got = list(gamma.enumerate_hamiltonian(5, limit=10))
     assert len(got) == 10
     assert got == list(gamma.enumerate_hamiltonian(5, limit=10))
+
+
+@pytest.mark.parametrize('n', [3, 4, 5])
+def test_enumeration_matches_reference_search(n):
+    cycles = list(gamma.enumerate_hamiltonian(n))
+    got = [c.vertices for c in cycles]
+    assert got == list(ref.ref_hamiltonian_cycles(n))
+    # de Bruijn's count of the cycles: 2^(2^(n-1) - n).
+    assert len(got) == 1 << ((1 << (n - 1)) - n)
+    # Double (label 0) before complement (label 1): the labels read from
+    # the all-ones vertex rise strictly along the stream.
+    labels = [gamma.cycle_to_sequence(c).value for c in cycles]
+    assert all(a < b for a, b in zip(labels, labels[1:]))
+
+
+@pytest.mark.parametrize('limit', [0, 1, 2, 7, 100, 2048, 5000])
+def test_enumeration_limit_is_a_prefix_of_the_reference(limit):
+    got = [c.vertices for c in gamma.enumerate_hamiltonian(5, limit=limit)]
+    assert got == list(itertools.islice(ref.ref_hamiltonian_cycles(5),
+                                        limit))
 
 
 def test_enumeration_guard():

@@ -68,3 +68,13 @@ def test_text_round_trips(a, fmt):
                   for t in text.split('+')]
         bits = ref.to_list(a)
         assert powers == [i for i in reversed(range(len(bits))) if bits[i]]
+
+
+@kernels
+@given(st.lists(polys(max_degree=6000) | st.just(0), min_size=1,
+                max_size=4))
+def test_symbolic_text_matches_termwise(batch):
+    # Several calls in a row, so the cached term table is read both
+    # before and after it grows.
+    for a in batch:
+        assert gf2poly.to_text(a) == ref.ref_to_text(a)

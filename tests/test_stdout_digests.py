@@ -36,6 +36,10 @@ GOLDEN = {
         0, 'bad6eb6d7e51d3f9837d72182d09a382cae485e8fea2be3cd70733d42f4a5540'),
     'greedy --n 9 --all --alg double --format jsonl': (
         0, '535c7887a5828d06b1bdecc3e1f0eb0bbb95af4caa12f94515e149c416a5220e'),
+    'greedy --n 9 --all --alg complement --format text': (
+        0, 'bc763a98e7e275e79ebc57fa5e6d7352e327c8b1126f7bb054db4ae3995280da'),
+    'greedy --n 9 --all --alg double --format text': (
+        0, 'b6a5737c4f172bf4c153e0629efbd534ebb08d5b6d3009fe84180796e488f84a'),
     'decompose --n 8 --seed 1 --format text': (
         0, '086b592e625594bfa2f2b97c330a3041ceb5f9c2a0bac71416cc1cb816dd3311'),
     'decompose --n 8 --seed 1 --format jsonl': (
@@ -60,6 +64,11 @@ GOLDEN = {
         0, '0c253c5e508b2273f0880040da8d63961103e1a826e472d5d27aca23f193802c'),
     'enumerate --n 4': (
         0, 'ec0e18f33ddd30b4119b36b401471b37fea56b1f635382d85f068201965ecf0a'),
+    # All 2048 order-5 cycles, and a prefix: the rows pin the search order.
+    'enumerate --n 5': (
+        0, 'de2d6bc5e5fa470bd67b76e1e77510a46399105f7efbab13a25b78a74685512c'),
+    'enumerate --n 5 --limit 7': (
+        0, '8ce9eac072ce45fe3176310a483a8701f5f4b0382ede0b37ec995a87bddb980d'),
     f'minpoly --n 4 --cycle {FINAL_CYCLE} --format text': (
         0, 'b60049b16c8d0c4d9a3f9dfc3c350110c99546a49ac97d745265cd69258a2a4a'),
     f'minpoly --n 4 --cycle {FINAL_CYCLE} --format jsonl': (
