@@ -9,7 +9,7 @@ polynomial, and derives exact minimal polynomials and linear
 complexities, all over GF(2).  A polynomial is a plain nonnegative
 int with bit i the coefficient of x^i, and the functions of gf2poly
 are the one polynomial API; a sequence period is a BitSequence, an int
-plus its length.
+plus its length, and seqkit.parse_sequence reads one from text.
 
 Modules: gf2poly (polynomial arithmetic), seqkit (sequence tooling and
 Berlekamp-Massey), gamma (the digraph), greedy (preference walks and

@@ -30,7 +30,7 @@ unless explicitly overridden.
 
 import itertools
 import os
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 from .seqkit import BitSequence
 
@@ -94,16 +94,13 @@ def successors(a, n):
 
 
 class GammaGraph(NamedTuple):
-    """The full digraph of some order n, with arc lookup tables.
+    """The full digraph of some order n, built by `build`.
 
-    `double[a]` and `comp[a]` give the arc targets of vertex a (index 0
-    is padding); a missing double arc is stored as None.  Built by
-    `build`.
+    Only the order is stored; `arcs` computes each vertex's targets
+    from the arc rule `_targets`.
     """
 
     n: int
-    double: Tuple[Optional[int], ...]
-    comp: Tuple[Optional[int], ...]
 
     @property
     def vertices(self):
@@ -111,10 +108,12 @@ class GammaGraph(NamedTuple):
 
     def arcs(self):
         """All arcs as (source, target, label) with label 0 = double."""
+        mask = (1 << self.n) - 1
         for a in self.vertices:
-            if self.double[a] is not None:
-                yield (a, self.double[a], 0)
-            yield (a, self.comp[a], 1)
+            d, c = _targets(a, mask)
+            if d:
+                yield (a, d, 0)
+            yield (a, c, 1)
 
     def loop_vertex(self):
         """The vertex carrying the graph's one self-loop.
@@ -126,20 +125,16 @@ class GammaGraph(NamedTuple):
         (2^(n+1) - 1)/3 for odd n.  The None return is unreachable for
         the orders `build` accepts.
         """
-        for a in self.vertices:
-            if self.double[a] == a or self.comp[a] == a:
+        for a, b, _ in self.arcs():
+            if a == b:
                 return a
         return None
-
-    def __repr__(self):
-        return f'GammaGraph(n={self.n})'
 
 
 def build(n):
     """Construct the graph of order n >= 3."""
     _check_order(n, minimum=3)
-    arcs = [(None, None)] + [successors(a, n) for a in range(1, 1 << n)]
-    return GammaGraph(n, *zip(*arcs))
+    return GammaGraph(n)
 
 
 def _is_closed_walk(verts, size):
@@ -220,7 +215,7 @@ def cycle_to_sequence(cycle):
     """Arc labels around a cycle, starting from its stored first vertex."""
     verts = cycle.vertices
     labels = ''.join(['01'[v & 1] for v in verts])
-    return BitSequence.packed(int(labels[1:] + labels[0], 2), len(verts))
+    return BitSequence(int(labels[1:] + labels[0], 2), len(verts))
 
 
 def cycle_from_sequence(s, n=None):

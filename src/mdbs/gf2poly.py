@@ -164,7 +164,7 @@ def expand_series(g, f, count):
         if bit:
             r ^= f
         r >>= 1
-    return BitSequence.packed(value, count)
+    return BitSequence(value, count)
 
 
 def _mobius(n):

@@ -23,68 +23,37 @@ class BitSequence:
     """One period of a binary sequence, packed into an int.
 
     `value` holds the first bit most significant and `period` keeps any
-    leading zeros.  `==` with a 0/1 tuple and the hash follow the bits."""
+    leading zeros; the constructor checks that value fits in period >= 1
+    bits.  Equality and the hash follow (value, period)."""
 
     __slots__ = ('value', 'period')
 
-    def __init__(self, bits):
-        if isinstance(bits, str):
-            bits = _parse_bits(bits)
-        bits = tuple(bits)
-        if not bits:
-            raise ValueError('a sequence needs at least one bit')
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError('sequence bits must be 0 or 1')
-        value = int(''.join('01'[b] for b in bits), 2)
+    def __init__(self, value, period):
+        if period < 1 or value < 0 or value.bit_length() > period:
+            raise ValueError(f'value not in 0 .. 2^{period} - 1 or period < 1')
         object.__setattr__(self, 'value', value)
-        object.__setattr__(self, 'period', len(bits))
-
-    @classmethod
-    def packed(cls, value, period):
-        """Unchecked: `value` must lie in 0 .. 2^period - 1, period >= 1."""
-        s = object.__new__(cls)
-        object.__setattr__(s, 'value', value)
-        object.__setattr__(s, 'period', period)
-        return s
+        object.__setattr__(self, 'period', period)
 
     def __setattr__(self, name, v):
         raise AttributeError('BitSequence is immutable')
 
-    @property
-    def bits(self):
-        """The period as a tuple of 0/1 ints."""
-        return tuple(map(int, format(self.value, f'0{self.period}b')))
-
     def __len__(self):
         return self.period
-
-    def __iter__(self):
-        return iter(self.bits)
-
-    def __getitem__(self, i):
-        return self.bits[i]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.value, self.period) == (other.value, other.period)
-        if isinstance(other, tuple):
-            return self.bits == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.bits)
+        return hash((self.value, self.period))
 
-    def to_text(self, fmt='compact'):
-        """Render as '0101...' (compact) or '(0,1,0,1,...)' (tuple)."""
-        text = format(self.value, f'0{self.period}b')
-        if fmt == 'compact':
-            return text
-        if fmt == 'tuple':
-            return '(' + ','.join(text) + ')'
-        raise ValueError(f'unknown sequence format {fmt!r}')
+    def to_text(self):
+        """Render as '0101...', first bit first."""
+        return format(self.value, f'0{self.period}b')
 
     def __repr__(self):
-        return f"BitSequence('{self.to_text()}')"
+        return f'BitSequence(0b{self.to_text()}, {self.period})'
 
 
 class BmResult(NamedTuple):
@@ -94,37 +63,33 @@ class BmResult(NamedTuple):
     minimal_polynomial: int
 
 
-def _parse_bits(text):
+def parse_sequence(text):
+    """Parse '0101...', '(0,1,0,1,...)' or '0,1,0,1,...' into a BitSequence.
+
+    Whitespace is ignored; every position must be an ASCII 0 or 1.
+    """
     s = ''.join(text.split())
     if s.startswith('(') and s.endswith(')'):
         s = s[1:-1]
-    if ',' in s:
-        parts = [p for p in s.split(',') if p]
-    else:
-        parts = list(s)
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f'bad sequence text {text!r}') from None
-
-
-def parse_sequence(text):
-    """Parse '0101...' or '(0,1,0,1,...)' into a BitSequence."""
-    return BitSequence(_parse_bits(text))
+    parts = s.split(',')
+    s = ''.join(parts)
+    one_per_part = len(parts) == 1 or max(map(len, parts)) <= 1
+    if not (s and one_per_part) or s.strip('01'):
+        raise ValueError(f'bad sequence text {text!r}')
+    return BitSequence(int(s, 2), len(s))
 
 
 def shift(s, k):
     """Left-rotate one period of s by k positions."""
     p = s.period
     k %= p
-    return BitSequence.packed(
-        (s.value << k | s.value >> (p - k)) & ((1 << p) - 1), p)
+    return BitSequence((s.value << k | s.value >> (p - k)) & ((1 << p) - 1), p)
 
 
 def canonical_rotation(s):
     """Lexicographically least rotation of s, for rotation-blind tests."""
     best = min(shift(s, k).value for k in range(s.period))
-    return BitSequence.packed(best, s.period)
+    return BitSequence(best, s.period)
 
 
 def berlekamp_massey(s):
@@ -203,7 +168,7 @@ def modify(s, n):
     """
     if not is_de_bruijn(s, n):
         raise ValueError(f'input is not a de Bruijn sequence of order {n}')
-    return BitSequence.packed(_from_zero_run(s, n), s.period - 1)
+    return BitSequence(_from_zero_run(s, n), s.period - 1)
 
 
 def debruijnize(s, n):
@@ -215,7 +180,7 @@ def debruijnize(s, n):
     if not is_modified_de_bruijn(s, n):
         raise ValueError(
             f'input is not a modified de Bruijn sequence of order {n}')
-    return BitSequence.packed(_from_zero_run(s, n - 1), s.period + 1)
+    return BitSequence(_from_zero_run(s, n - 1), s.period + 1)
 
 
 def possible_spans(n):

@@ -136,7 +136,7 @@ def test_report_internal_consistency():
         assert bm_series.minimal_polynomial == report.f_star
         arcs = gamma.cycle_to_sequence(cycle)
         assert ref.same_cycle(
-            arcs, seqkit.BitSequence(tuple(reversed(series.bits))))
+            arcs, seqkit.parse_sequence(series.to_text()[::-1]))
         assert report.span in seqkit.possible_spans(cycle.n)
         _assert_squarefree_factor_degrees(report.f, cycle.n)
     del rng

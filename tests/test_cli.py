@@ -41,6 +41,11 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(['minpoly', '--n', '4', '--cycle', '1,2',
                      '--sequence', '111']) == 2
     assert cli.main(['verify', '--n', '4']) == 2
+    capsys.readouterr()
+    for text in ('(0,0,+1,1)', '(0_1,0)', '(-0,1)', '\u0661\u0660'):
+        assert cli.main(['verify', '--sequence', text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == '' and 'bad sequence text' in captured.err
 
 
 def test_help_exits_cleanly(capsys):

@@ -29,6 +29,7 @@ def test_build_counts():
     g4 = gamma.build(4)
     assert len(g4.vertices) == 15
     assert sum(1 for _ in g4.arcs()) == 29 == 2 * len(g4.vertices) - 1
+    assert repr(g4) == 'GammaGraph(n=4)'
     g3 = gamma.build(3)
     assert len(g3.vertices) == 7
     assert sum(1 for _ in g3.arcs()) == 13 == 2 * len(g3.vertices) - 1
@@ -53,6 +54,10 @@ def test_arc_label_is_low_bit_of_target():
             d, c = gamma.successors(a, n)
             assert gamma._targets(a, mask) == (d or 0, c)
         assert all(label == b & 1 for _, b, label in gamma.build(n).arcs())
+        assert list(gamma.build(n).arcs()) == [
+            (a, b, label) for a in range(1, mask + 1)
+            for label, b in enumerate(gamma.successors(a, n))
+            if b is not None]
 
 
 def test_degree_profile():
@@ -209,12 +214,11 @@ def test_walk_of_generator_rejects_zero_window():
 
 def test_cycle_to_sequence_known_rows():
     cycle = HamCycle((6, 3, 9, 2, 4, 8, 15, 14, 12, 7, 1, 13, 5, 10, 11), 4)
-    assert gamma.cycle_to_sequence(cycle) \
-        == (1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0)
+    assert gamma.cycle_to_sequence(cycle).to_text() == '110001001111010'
     cycle = HamCycle((1, 13, 5, 10, 11, 9, 2, 4, 7, 14, 3, 6, 12, 8, 15), 4)
     assert ref.same_cycle(
         gamma.cycle_to_sequence(cycle),
-        seqkit.BitSequence((0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1)))
+        seqkit.parse_sequence('000111101100101'))
 
 
 def test_cycle_sequences_are_window_complete():
@@ -239,7 +243,7 @@ def test_cycle_from_sequence_roundtrip():
 
 def test_cycle_from_sequence_rejects_bad_period():
     with pytest.raises(ValueError):
-        gamma.cycle_from_sequence(seqkit.BitSequence((1, 0, 1)), 4)
+        gamma.cycle_from_sequence(seqkit.parse_sequence('101'), 4)
 
 
 def test_enumeration_small_orders():
@@ -329,4 +333,4 @@ def test_walk_matches_series_expansion_reversal():
     arcs = gamma.cycle_to_sequence(cycle)
     series = gf2poly.expand_series(g, gf2poly.build_F(4), 15)
     assert ref.same_cycle(
-        arcs, seqkit.BitSequence(tuple(reversed(series.bits))))
+        arcs, seqkit.parse_sequence(series.to_text()[::-1]))

@@ -6,45 +6,55 @@ import pytest
 
 import _reference as ref
 from mdbs import gamma, gf2poly, seqkit
-from mdbs.seqkit import BitSequence
+from mdbs.seqkit import BitSequence, parse_sequence
 
 FULL_PAIR = (
-    BitSequence((0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1)),
-    BitSequence((0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1)),
+    parse_sequence('0000100110101111'),
+    parse_sequence('000100110101111'),
 )
 
 
+def _seq(bits):
+    """The BitSequence of a 0/1 tuple, first bit first."""
+    return BitSequence(int(''.join(map(str, bits)), 2), len(bits))
+
+
+def _bits(s):
+    return tuple(map(int, s.to_text()))
+
+
 def rand_bits(rng, count):
-    return BitSequence(tuple(rng.randrange(2) for _ in range(count)))
+    return _seq(tuple(rng.randrange(2) for _ in range(count)))
 
 
 def test_bit_sequence_basics():
-    s = BitSequence((0, 1, 1))
+    s = parse_sequence('011')
     assert s.period == 3 and len(s) == 3
-    assert s == (0, 1, 1)
-    assert s[1] == 1 and list(s) == [0, 1, 1]
+    assert s.value == 3 and s == BitSequence(3, 3)
     assert s.to_text() == '011'
-    assert s.to_text(fmt='tuple') == '(0,1,1)'
+    assert repr(s) == 'BitSequence(0b011, 3)'
     with pytest.raises(ValueError):
-        BitSequence(())
+        BitSequence(0, 0)
     with pytest.raises(ValueError):
-        BitSequence((0, 2))
+        BitSequence(4, 2)
     with pytest.raises(AttributeError):
-        s.bits = (1,)
+        s.value = 1
 
 
 def test_parse_sequence_formats():
-    assert seqkit.parse_sequence('0110') == (0, 1, 1, 0)
-    assert seqkit.parse_sequence('(0, 1, 1, 0)') == (0, 1, 1, 0)
-    assert seqkit.parse_sequence('1,0,1') == (1, 0, 1)
-    with pytest.raises(ValueError):
-        seqkit.parse_sequence('01a0')
+    assert parse_sequence('0110').to_text() == '0110'
+    assert parse_sequence('(0, 1, 1, 0)').to_text() == '0110'
+    assert parse_sequence('1,0,1').to_text() == '101'
+    for text in ('', '()', ',', '(', '01a0', '0 2', '1_0', '01,1',
+                 '(0_1,0)', '(+1,0)', '(-0,1)', '(0,0,+1,1)', '\u0661\u0660'):
+        with pytest.raises(ValueError, match='bad sequence text'):
+            parse_sequence(text)
 
 
 def test_shift_rotates_left():
-    s = BitSequence((0, 1, 1))
+    s = parse_sequence('011')
     assert seqkit.shift(s, 0) == s
-    assert seqkit.shift(s, 1) == (1, 1, 0)
+    assert seqkit.shift(s, 1).to_text() == '110'
     rng = random.Random(201)
     for _ in range(50):
         t = rand_bits(rng, rng.randrange(1, 20))
@@ -53,10 +63,10 @@ def test_shift_rotates_left():
 
 
 def test_same_cycle_and_canonical_rotation():
-    a = BitSequence((1, 0, 1, 1, 0))
+    a = parse_sequence('10110')
     assert ref.same_cycle(a, seqkit.shift(a, 3))
-    assert not ref.same_cycle(a, BitSequence((1, 0, 1, 0, 0)))
-    assert seqkit.canonical_rotation(a) == (0, 1, 0, 1, 1)
+    assert not ref.same_cycle(a, parse_sequence('10100'))
+    assert seqkit.canonical_rotation(a).to_text() == '01011'
 
 
 def test_berlekamp_massey_known_complexities():
@@ -70,7 +80,7 @@ def test_berlekamp_massey_known_complexities():
 
 
 def test_berlekamp_massey_zero_sequence():
-    got = seqkit.berlekamp_massey(BitSequence((0, 0, 0, 0)))
+    got = seqkit.berlekamp_massey(BitSequence(0, 4))
     assert got.linear_complexity == 0
     assert got.minimal_polynomial == 1
 
@@ -90,32 +100,29 @@ def test_lfsr_reproduces_bm_input():
         s = rand_bits(rng, rng.randrange(2, 32))
         got = seqkit.berlekamp_massey(s)
         if got.linear_complexity == 0:
-            assert all(b == 0 for b in s)
+            assert all(b == 0 for b in _bits(s))
             continue
-        seed = BitSequence(s.bits[:got.linear_complexity]) \
-            if got.linear_complexity <= s.period \
-            else BitSequence(
-                (s.bits * 2)[:got.linear_complexity])
+        seed = (_bits(s) * 2)[:got.linear_complexity]
         again = ref.ref_lfsr_generate(got.minimal_polynomial, seed, s.period)
-        assert again == s
+        assert again == _bits(s)
 
 
 def test_lfsr_known_streams():
     s = ref.ref_lfsr_generate(gf2poly.parse('x^4+x+1'),
-                              BitSequence((1, 1, 1, 1)), 15)
+                              (1, 1, 1, 1), 15)
     assert s == (1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0)
     assert ref.ref_lfsr_generate(gf2poly.parse('x^2+x+1'),
-                                 BitSequence((0, 1)), 6) == (0, 1, 1, 0, 1, 1)
+                                 (0, 1), 6) == (0, 1, 1, 0, 1, 1)
     zeros = ref.ref_lfsr_generate(gf2poly.parse('x^3+x+1'),
-                                  BitSequence((0, 0, 0)), 7)
+                                  (0, 0, 0), 7)
     assert all(b == 0 for b in zeros)
 
 
 def test_lfsr_rejects_mismatched_seed():
     with pytest.raises(ValueError):
-        ref.ref_lfsr_generate(gf2poly.parse('x^4+x+1'), BitSequence((1, 0)), 8)
+        ref.ref_lfsr_generate(gf2poly.parse('x^4+x+1'), (1, 0), 8)
     with pytest.raises(ValueError):
-        ref.ref_lfsr_generate(gf2poly.parse('x^2+x'), BitSequence((1, 0)), 8)
+        ref.ref_lfsr_generate(gf2poly.parse('x^2+x'), (1, 0), 8)
 
 
 def test_window_complete_recognizers():
@@ -124,8 +131,8 @@ def test_window_complete_recognizers():
     assert not seqkit.is_de_bruijn(modified, 4)
     assert seqkit.is_modified_de_bruijn(modified, 4)
     assert not seqkit.is_modified_de_bruijn(full, 4)
-    assert not seqkit.is_modified_de_bruijn(BitSequence((0,) * 15), 4)
-    assert not seqkit.is_de_bruijn(BitSequence((0,) * 16), 4)
+    assert not seqkit.is_modified_de_bruijn(BitSequence(0, 15), 4)
+    assert not seqkit.is_de_bruijn(BitSequence(0, 16), 4)
 
 
 def test_modify_drops_one_zero():
@@ -152,9 +159,9 @@ def test_modify_debruijnize_roundtrip_over_enumeration():
 
 def test_modify_rejects_non_de_bruijn():
     with pytest.raises(ValueError):
-        seqkit.modify(BitSequence((0, 1) * 8), 4)
+        seqkit.modify(parse_sequence('01' * 8), 4)
     with pytest.raises(ValueError):
-        seqkit.debruijnize(BitSequence((0, 1) * 8), 4)
+        seqkit.debruijnize(parse_sequence('01' * 8), 4)
 
 
 def test_possible_spans_known_sets():
@@ -207,7 +214,7 @@ def test_bm_reversal_matches_reciprocal():
         got = seqkit.berlekamp_massey(s)
         if got.minimal_polynomial & 1 == 0:
             continue
-        rev = BitSequence(tuple(reversed(s.bits)))
+        rev = parse_sequence(s.to_text()[::-1])
         got_rev = seqkit.berlekamp_massey(rev)
         assert got_rev.minimal_polynomial \
             == gf2poly.reciprocal(got.minimal_polynomial)
@@ -216,5 +223,5 @@ def test_bm_reversal_matches_reciprocal():
 
 def test_bm_windows_against_reference_counter():
     _, modified = FULL_PAIR
-    windows = ref.cyclic_windows(list(modified.bits), 4)
+    windows = ref.cyclic_windows(list(_bits(modified)), 4)
     assert len(set(windows)) == 15 and 0 not in windows
