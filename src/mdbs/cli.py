@@ -109,16 +109,18 @@ def parse_args(argv=None):
     p = sub.add_parser('minpoly',
                        help='minimal-polynomial report of a cycle or sequence')
     p.add_argument('--n', type=int, default=None)
-    p.add_argument('--cycle', default=None,
-                   help="comma-separated vertices ('-' reads stdin)")
-    p.add_argument('--sequence', default=None,
-                   help="bit string or (1,0,...) tuple ('-' reads stdin)")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument('--cycle', default=None,
+                       help="comma-separated vertices ('-' reads stdin)")
+    given.add_argument('--sequence', default=None,
+                       help="bit string or (1,0,...) tuple ('-' reads stdin)")
     p.add_argument('--format', choices=['text', 'jsonl'], default=None)
 
     p = sub.add_parser('verify', help='check a sequence or cycle')
     p.add_argument('--n', type=int, default=None)
-    p.add_argument('--cycle', default=None)
-    p.add_argument('--sequence', default=None)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument('--cycle', default=None)
+    given.add_argument('--sequence', default=None)
     p.add_argument('--format', choices=['text', 'jsonl'], default=None)
 
     p = sub.add_parser('tables', help='reproduce the reference tables')
@@ -265,33 +267,29 @@ def cmd_enumerate(cfg):
     return EXIT_OK
 
 
-def _cycle_from_config(cfg):
-    """Build the HamCycle named by --cycle/--sequence, or raise ValueError.
+def _cycle_from_config(cfg, failure):
+    """The HamCycle named by --cycle or --sequence (argparse allows one).
 
-    Callers have checked that exactly one of the two is set.
+    Malformed text raises out of the parse, and main exits 2.  Text
+    that is well-formed but names no Hamiltonian cycle of order --n
+    (both builders check the length or period against a given --n)
+    prints `failure` and the reason to stderr and returns None.
     """
     if cfg.cycle is not None:
-        try:
-            verts = _csv_ints(_read_arg(cfg.cycle))
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(str(exc)) from None
-        cycle = gamma.HamCycle(verts, cfg.n)
+        given, build = _csv_ints(_read_arg(cfg.cycle)), gamma.HamCycle
     else:
-        seq = seqkit.parse_sequence(_read_arg(cfg.sequence))
-        cycle = gamma.cycle_from_sequence(seq, cfg.n)
-    if cfg.n is not None and cycle.n != cfg.n:
-        raise ValueError(f'--n {cfg.n} does not match the input order '
-                         f'{cycle.n}')
-    return cycle
+        given = seqkit.parse_sequence(_read_arg(cfg.sequence))
+        build = gamma.cycle_from_sequence
+    try:
+        return build(given, cfg.n)
+    except ValueError as exc:
+        print(f'{failure}: {exc}', file=sys.stderr)
+        return None
 
 
 def cmd_minpoly(cfg):
-    if (cfg.cycle is None) == (cfg.sequence is None):
-        return _usage('minpoly needs exactly one of --cycle or --sequence')
-    try:
-        cycle = _cycle_from_config(cfg)
-    except ValueError as exc:
-        print(f'error: {exc}', file=sys.stderr)
+    cycle = _cycle_from_config(cfg, 'error')
+    if cycle is None:
         return EXIT_VERIFY
     report = canonical.minimal_polynomial_of_cycle(cycle)
     record = _report_record(cycle, report)
@@ -305,14 +303,10 @@ def cmd_minpoly(cfg):
 
 
 def cmd_verify(cfg):
-    if (cfg.cycle is None) == (cfg.sequence is None):
-        return _usage('verify needs exactly one of --cycle or --sequence')
     fmt = cfg.format or 'text'
     if cfg.cycle is not None:
-        try:
-            cycle = _cycle_from_config(cfg)
-        except ValueError as exc:
-            print(f'verification failed: {exc}', file=sys.stderr)
+        cycle = _cycle_from_config(cfg, 'verification failed')
+        if cycle is None:
             return EXIT_VERIFY
         report = canonical.minimal_polynomial_of_cycle(cycle)
         seq = gamma.cycle_to_sequence(cycle)
@@ -395,22 +389,20 @@ def cmd_tables(cfg):
                                  ' '.join(str(v) for v in inits),
                                  ' '.join(str(v) for v in path)])
         return EXIT_OK
-    if cfg.which == 4:
-        if cfg.n != 4:
-            return _usage('the worked join table exists at order 4 only')
-        dec = greedy.psi_decompose(4, visit_order=(6, 4, 14))
-        rows = 0
-        for pairs, cycle in joiner.enumerate_joined_cycles(dec):
-            rows += 1
-            writer.writerow([''.join(f'({r},{s})' for r, s in pairs),
-                             ' '.join(str(v) for v in cycle.vertices),
-                             gamma.cycle_to_sequence(cycle).to_text(),
-                             gf2poly.to_text(
-                                 canonical.minimal_polynomial(cycle))])
-        # One distinct cycle per tree, as in cmd_join.
-        writer.writerow(['distinct', rows])
-        return EXIT_OK
-    return _usage(f'unknown table {cfg.which}')
+    # argparse's choices leave only table 4.
+    if cfg.n != 4:
+        return _usage('the worked join table exists at order 4 only')
+    dec = greedy.psi_decompose(4, visit_order=(6, 4, 14))
+    rows = 0
+    for pairs, cycle in joiner.enumerate_joined_cycles(dec):
+        rows += 1
+        writer.writerow([''.join(f'({r},{s})' for r, s in pairs),
+                         ' '.join(str(v) for v in cycle.vertices),
+                         gamma.cycle_to_sequence(cycle).to_text(),
+                         gf2poly.to_text(canonical.minimal_polynomial(cycle))])
+    # One distinct cycle per tree, as in cmd_join.
+    writer.writerow(['distinct', rows])
+    return EXIT_OK
 
 
 _HANDLERS = {
@@ -447,7 +439,7 @@ def main(argv=None):
         if config.n is None:
             return _usage(exc)
         return _usage(f'order {config.n} is too large to index ({exc})')
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         return _usage(exc)
 
 

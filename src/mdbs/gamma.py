@@ -122,13 +122,9 @@ class GammaGraph(NamedTuple):
         The complement arc loops where 3A = 2^n - 1 (no wrap, n even) or
         3A = 2^(n+1) - 1 (wrap, n odd), so every order n >= 3 has exactly
         one self-loop, on a complement arc, at (2^n - 1)/3 for even n and
-        (2^(n+1) - 1)/3 for odd n.  The None return is unreachable for
-        the orders `build` accepts.
+        (2^(n+1) - 1)/3 for odd n.
         """
-        for a, b, _ in self.arcs():
-            if a == b:
-                return a
-        return None
+        return ((1 << (self.n + self.n % 2)) - 1) // 3
 
 
 def build(n):
@@ -150,15 +146,15 @@ def _is_closed_walk(verts, size):
 
 
 class HamCycle:
-    """A Hamiltonian cycle, stored in a fixed rotation.
+    """A Hamiltonian cycle, stored in the rotation it was given.
 
     Construction validates length, distinctness, and that every
     consecutive pair (including the wrap-around) is an arc.  Equality
-    and hashing are rotation-invariant; `canonical()` returns the
-    rotation starting at the all-ones vertex 2^n - 1.
+    and hashing are rotation-invariant: each call rotates the vertices
+    to start at the all-ones vertex 2^n - 1.
     """
 
-    __slots__ = ('vertices', 'n', '_canon')
+    __slots__ = ('vertices', 'n')
 
     def __init__(self, vertices, n=None):
         vertices = tuple(vertices)
@@ -179,19 +175,16 @@ class HamCycle:
                 b = vertices[(i + 1) % size]
                 if b not in _targets(a, size):
                     raise ValueError(f'({a}, {b}) is not an arc at order {n}')
-        top = vertices.index(size)
         object.__setattr__(self, 'vertices', vertices)
         object.__setattr__(self, 'n', n)
-        object.__setattr__(self, '_canon', vertices[top:] + vertices[:top])
 
     def __setattr__(self, name, v):
         raise AttributeError('HamCycle is immutable')
 
-    def canonical(self):
-        """The same cycle rotated to start at the all-ones vertex."""
-        if self.vertices == self._canon:
-            return self
-        return HamCycle(self._canon, self.n)
+    def _from_top(self):
+        """The vertices rotated to start at the all-ones vertex."""
+        top = self.vertices.index((1 << self.n) - 1)
+        return self.vertices[top:] + self.vertices[:top]
 
     def __len__(self):
         return len(self.vertices)
@@ -201,11 +194,12 @@ class HamCycle:
 
     def __eq__(self, other):
         if isinstance(other, HamCycle):
-            return self.n == other.n and self._canon == other._canon
+            return (self.n == other.n
+                    and self._from_top() == other._from_top())
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self._canon))
+        return hash((self.n, self._from_top()))
 
     def __repr__(self):
         return f'HamCycle({self.vertices})'

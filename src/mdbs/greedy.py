@@ -22,6 +22,7 @@ resulting PsiDecomposition is the raw material for cycle joining.
 
 import functools
 import random
+from typing import NamedTuple
 
 from .gamma import successors, _check_order, _check_vertex
 
@@ -96,19 +97,21 @@ def is_hamiltonian(path, n):
     return path[0] in successors(path[-1], n)
 
 
-class PsiDecomposition:
+class PsiDecomposition(NamedTuple('PsiDecomposition', [
+        ('n', int), ('cycles', tuple), ('order', tuple), ('seed', str)])):
     """Disjoint closed cycles produced by a full greedy sweep.
 
     `cycles` holds the cycles in discovery order; each cycle starts at
     its start element and ends at its terminating element (the vertex
     whose preferred moves were exhausted, and which arcs back to the
     start).  `order` is the visit order that produced the sweep and
-    `seed` the text form of the shuffle seed, if one was used.
+    `seed` the text form of the shuffle seed, if one was used.  It is an
+    immutable value: equality and the hash follow the four fields.
     """
 
-    __slots__ = ('n', 'cycles', 'order', 'seed')
+    __slots__ = ()
 
-    def __init__(self, n, cycles, order=None, seed=None):
+    def __new__(cls, n, cycles, order=None, seed=None):
         _check_order(n)
         cycles = tuple(tuple(c) for c in cycles)
         if not cycles or any(not c for c in cycles):
@@ -120,23 +123,8 @@ class PsiDecomposition:
                 if v in seen:
                     raise ValueError(f'vertex {v} appears in two cycles')
                 seen.add(v)
-        object.__setattr__(self, 'n', n)
-        object.__setattr__(self, 'cycles', cycles)
-        object.__setattr__(self, 'order',
-                           None if order is None else tuple(order))
-        object.__setattr__(self, 'seed', seed)
-
-    def __setattr__(self, name, v):
-        raise AttributeError('PsiDecomposition is immutable')
-
-    def __len__(self):
-        return len(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
-
-    def __repr__(self):
-        return f'PsiDecomposition(n={self.n}, cycles={self.cycles})'
+        order = None if order is None else tuple(order)
+        return super().__new__(cls, n, cycles, order, seed)
 
 
 def psi_decompose(n, visit_order=None, seed=None):

@@ -104,9 +104,9 @@ def _plan(dec):
 
     Built from one _table and cached for the last decomposition, so a
     caller that reads the graph and then streams the joins builds each
-    once.  A decomposition is immutable and hashed by identity, and the
-    tables come back as tuples, so no caller can change what a later
-    cache hit returns.
+    once.  A decomposition is an immutable value, so equal ones share
+    the cache entry, and the tables come back as tuples, so no caller
+    can change what a later cache hit returns.
     """
     size = (1 << dec.n) - 1
     succ, pred, owner = _table(dec)

@@ -86,12 +86,6 @@ def shift(s, k):
     return BitSequence((s.value << k | s.value >> (p - k)) & ((1 << p) - 1), p)
 
 
-def canonical_rotation(s):
-    """Lexicographically least rotation of s, for rotation-blind tests."""
-    best = min(shift(s, k).value for k in range(s.period))
-    return BitSequence(best, s.period)
-
-
 def berlekamp_massey(s):
     """Linear complexity and minimal polynomial of the periodic s.
 

@@ -230,8 +230,9 @@ def test_criterion_05_max_span_generators():
     assert set(found) == set(MAX_SPAN_TABLE)
     for generator, series in found.items():
         expected = seqkit.parse_sequence(MAX_SPAN_TABLE[generator])
-        assert (seqkit.canonical_rotation(series)
-                == seqkit.canonical_rotation(expected))
+        # Equal up to rotation.
+        assert (series.period == expected.period
+                and series.to_text() in expected.to_text() * 2)
     assert time.monotonic() - started < 5.0
 
 

@@ -41,7 +41,7 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(['minpoly', '--n', '4', '--cycle', '1,2',
                      '--sequence', '111']) == 2
     assert cli.main(['verify', '--n', '4']) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ''
     for text in ('(0,0,+1,1)', '(0_1,0)', '(-0,1)', '\u0661\u0660'):
         assert cli.main(['verify', '--sequence', text]) == 2
         captured = capsys.readouterr()
@@ -226,6 +226,8 @@ def test_join_nonpositive_limit_prints_header_and_footer(capsys, monkeypatch,
 def test_join_builds_one_table_per_decomposition(capsys, monkeypatch):
     # One vertex table and one pair graph, whether 1 row or 7744.
     for extra in (['--limit', '1'], []):
+        # Equal decompositions share the cache; start each run empty.
+        joiner._plan.cache_clear()
         calls = {}
         for name in ('_table', 'complement_pairs'):
             _count_calls(monkeypatch, joiner, name, calls)
@@ -322,8 +324,14 @@ def test_minpoly_sequence_jsonl(capsys):
 
 
 def test_minpoly_rejects_bad_input(capsys):
-    assert cli.main(['minpoly', '--n', '4', '--cycle', '1,2,three']) == 4
-    assert 'error:' in capsys.readouterr().err
+    # Malformed text is a usage error (2), from minpoly and verify alike.
+    for argv in (['minpoly', '--n', '4', '--cycle', '1,2,three'],
+                 ['minpoly', '--sequence', '(0,2)'],
+                 ['verify', '--cycle', '1,2,three']):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == '' and 'error:' in captured.err
+    # Well-formed input that is not a cycle of order --n fails (4).
     assert cli.main(['minpoly', '--n', '4', '--cycle', '1,2,3']) == 4
     capsys.readouterr()
     assert cli.main(['minpoly', '--n', '5', '--cycle', FINAL_CYCLE]) == 4

@@ -39,12 +39,14 @@ def test_build_counts():
 
 def test_every_order_has_exactly_one_self_loop():
     for n, vertex in ((3, 5), (4, 5), (5, 21), (6, 21), (7, 85)):
+        assert gamma.build(n).loop_vertex() == vertex
+    # The closed form against a scan of every arc.
+    for n in range(3, 17):
         graph = gamma.build(n)
-        assert graph.loop_vertex() == vertex
         loops = [a for a, b, _ in graph.arcs() if a == b]
-        assert loops == [vertex]
-        d, c = gamma.successors(vertex, n)
-        assert c == vertex and d != vertex
+        assert loops == [graph.loop_vertex()]
+        d, c = gamma.successors(loops[0], n)
+        assert c == loops[0] and d != loops[0]
 
 
 def test_arc_label_is_low_bit_of_target():
@@ -165,8 +167,12 @@ def test_ham_cycle_rotation_invariant_equality():
     b = HamCycle(verts[5:] + verts[:5], 4)
     assert a == b
     assert hash(a) == hash(b)
-    assert a.canonical().vertices[0] == 15
-    assert b.canonical().vertices == a.canonical().vertices
+    top = b.vertices.index(15)
+    c = HamCycle(b.vertices[top:] + b.vertices[:top], 4)
+    assert c.vertices[0] == 15
+    assert a == c and hash(a) == hash(c)
+    # Rotations of one cycle are equal; the other 15 cycles are not.
+    assert sum(d == a for d in gamma.enumerate_hamiltonian(4)) == 1
 
 
 def test_walk_of_generator_known_walks():

@@ -198,10 +198,12 @@ def test_decomposition_validation():
     with pytest.raises(ValueError):
         PsiDecomposition(4, [(1, 2), (2, 3)])
     dec = PsiDecomposition(4, [(6, 3, 9, 13, 5, 10, 11), (4, 7, 1, 2)])
-    assert len(dec) == 2
-    assert list(dec) == [(6, 3, 9, 13, 5, 10, 11), (4, 7, 1, 2)]
+    assert dec.cycles == ((6, 3, 9, 13, 5, 10, 11), (4, 7, 1, 2))
     with pytest.raises(AttributeError):
         dec.n = 5
+    # A value: equal sweeps are equal and hash equal.
+    a, b = greedy.psi_decompose(6, seed=208), greedy.psi_decompose(6, seed=208)
+    assert a is not b and a == b and hash(a) == hash(b)
 
 
 @pytest.mark.parametrize('n', range(3, 11))
