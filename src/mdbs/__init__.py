@@ -18,7 +18,7 @@ canonical (generators and minimal polynomials), cli (command line).
 """
 
 from .seqkit import BitSequence, BmResult
-from .gamma import GammaGraph, GuardRefusal, HamCycle
+from .gamma import GammaGraph, HamCycle
 from .greedy import PsiDecomposition
 from .joiner import JoinGraph, JoinMatrix
 from .canonical import MinPolyReport
@@ -29,7 +29,6 @@ __all__ = [
     'BitSequence',
     'BmResult',
     'GammaGraph',
-    'GuardRefusal',
     'HamCycle',
     'JoinGraph',
     'JoinMatrix',

@@ -122,15 +122,14 @@ def minimal_polynomial_of_cycle(cycle):
     )
 
 
-def spans_of_all_cycles(n, override_guard=False):
+def spans_of_all_cycles(n):
     """Multiset of spans over every Hamiltonian cycle of order n.
 
-    Returns a Counter mapping span -> number of cycles.  Subject to the
-    same exhaustive guard as cycle enumeration.
+    Returns a Counter mapping span -> number of cycles.
     """
     f = build_F(n)
     counts = Counter()
-    for cycle in enumerate_hamiltonian(n, override_guard=override_guard):
+    for cycle in enumerate_hamiltonian(n):
         span = gf2poly.degree(_lowest_terms(canonical_generator(cycle), f)[1])
         counts[span] += 1
     return counts

@@ -11,12 +11,20 @@ Exit codes: 0 success, 2 usage, malformed input or an order too large
 to index, 3 exhaustive-guard refusal, 4 verification failure.  Given
 the same configuration (including seeds) every command writes
 byte-identical output.
+
+The library never refuses work; this module holds the one refusal
+policy for its two exponential runs.  `enumerate` and `tables` refuse
+orders above the ceiling read from MDBS_EXHAUSTIVE_MAX (6 when unset or
+not an integer) unless --override-guard is given, and `join` refuses a
+pair graph of more than 24 edges, whose spanning trees it would list.
+A refusal exits 3 before anything is written to stdout.
 """
 
 import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from typing import NamedTuple, Optional, Tuple
 
@@ -26,6 +34,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
+
+#: Environment variable holding the exhaustive-enumeration ceiling.
+EXHAUSTIVE_MAX_ENV = 'MDBS_EXHAUSTIVE_MAX'
+DEFAULT_EXHAUSTIVE_MAX = 6
+#: Edge-count ceiling for exhaustive spanning tree enumeration.
+MAX_EXHAUSTIVE_EDGES = 24
 
 
 class RunConfig(NamedTuple):
@@ -137,6 +151,11 @@ def _usage(message):
     return EXIT_USAGE
 
 
+def _refuse(message):
+    print(f'refused: {message}', file=sys.stderr)
+    return EXIT_GUARD
+
+
 def _read_arg(value):
     return sys.stdin.read().strip() if value == '-' else value
 
@@ -153,6 +172,15 @@ def _report_record(cycle, report):
         'span': report.span,
         'bm_check': gf2poly.to_text(report.bm_check),
     }
+
+
+def _print_record(cfg, record, text_keys=None):
+    """One JSON line, or `key = value` lines for text_keys (default all)."""
+    if (cfg.format or 'text') == 'jsonl':
+        print(json.dumps(record))
+    else:
+        for key in text_keys or record:
+            print(f'{key} = {record[key]}')
 
 
 def _decomposition(cfg):
@@ -222,8 +250,10 @@ def cmd_decompose(cfg):
 def cmd_join(cfg):
     dec = _decomposition(cfg)
     graph = joiner.complement_pairs(dec)
+    if len(graph.edges) > MAX_EXHAUSTIVE_EDGES:
+        return _refuse(f'{len(graph.edges)} edges exceed the exhaustive '
+                       f'spanning-tree ceiling of {MAX_EXHAUSTIVE_EDGES}')
     count = joiner.best_count(graph)
-    # Listing the trees may refuse; do it before anything is printed.
     joined = joiner.enumerate_joined_cycles(dec)
     fmt = cfg.format or 'jsonl'
     if fmt == 'jsonl':
@@ -259,9 +289,7 @@ def cmd_join(cfg):
 
 
 def cmd_enumerate(cfg):
-    stream = gamma.enumerate_hamiltonian(cfg.n, limit=cfg.limit,
-                                         override_guard=cfg.override_guard)
-    for cycle in stream:
+    for cycle in gamma.enumerate_hamiltonian(cfg.n, limit=cfg.limit):
         report = canonical.minimal_polynomial_of_cycle(cycle)
         print(json.dumps(_report_record(cycle, report)))
     return EXIT_OK
@@ -292,18 +320,12 @@ def cmd_minpoly(cfg):
     if cycle is None:
         return EXIT_VERIFY
     report = canonical.minimal_polynomial_of_cycle(cycle)
-    record = _report_record(cycle, report)
-    fmt = cfg.format or 'text'
-    if fmt == 'jsonl':
-        print(json.dumps(record))
-    else:
-        for key in canonical.MinPolyReport._fields:
-            print(f'{key} = {record[key]}')
+    _print_record(cfg, _report_record(cycle, report),
+                  canonical.MinPolyReport._fields)
     return EXIT_OK
 
 
 def cmd_verify(cfg):
-    fmt = cfg.format or 'text'
     if cfg.cycle is not None:
         cycle = _cycle_from_config(cfg, 'verification failed')
         if cycle is None:
@@ -316,11 +338,7 @@ def cmd_verify(cfg):
                   'sequence': seq.to_text(), 'span': report.span,
                   'bm_matches': report.bm_check == report.f, 'ok': ok}
     else:
-        text = _read_arg(cfg.sequence)
-        try:
-            seq = seqkit.parse_sequence(text)
-        except ValueError as exc:
-            return _usage(exc)
+        seq = seqkit.parse_sequence(_read_arg(cfg.sequence))
         n = cfg.n
         if n is None:
             period = seq.period
@@ -343,28 +361,21 @@ def cmd_verify(cfg):
                   'linear_complexity': bm.linear_complexity,
                   'minimal_polynomial': gf2poly.to_text(bm.minimal_polynomial),
                   'span_form': span_form, 'ok': ok}
-    if fmt == 'jsonl':
-        print(json.dumps(record))
-    else:
-        for key, value in record.items():
-            print(f'{key} = {value}')
+    _print_record(cfg, record)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_tables(cfg):
-    gamma.guard_exhaustive(cfg.n, cfg.override_guard)
     writer = csv.writer(sys.stdout, lineterminator='\n')
     if cfg.which == 1:
-        spans = canonical.spans_of_all_cycles(
-            cfg.n, override_guard=cfg.override_guard)
+        spans = canonical.spans_of_all_cycles(cfg.n)
         print(','.join(str(s) for s in sorted(spans)))
         return EXIT_OK
     if cfg.which == 2:
         # Maximal span 2^n - 2 means the generator is coprime to F.
         f = gf2poly.build_F(cfg.n)
         rows = []
-        for cycle in gamma.enumerate_hamiltonian(
-                cfg.n, override_guard=cfg.override_guard):
+        for cycle in gamma.enumerate_hamiltonian(cfg.n):
             c_h = canonical.canonical_generator(cycle)
             if gf2poly.gcd(c_h, f) == 1:
                 # c_H / F = c_H (x + 1) / (x^N + 1), so its first N series
@@ -418,7 +429,21 @@ _HANDLERS = {
 
 
 def run(config):
-    """Execute a parsed configuration; returns the exit code."""
+    """Execute a parsed configuration; returns the exit code.
+
+    The order ceiling is checked here, before any handler runs, so an
+    in-process run is refused exactly as a command-line one is.
+    """
+    if config.command in ('enumerate', 'tables') and not config.override_guard:
+        try:
+            ceiling = int(os.environ.get(EXHAUSTIVE_MAX_ENV, ''))
+        except ValueError:
+            ceiling = DEFAULT_EXHAUSTIVE_MAX
+        if config.n > ceiling:
+            return _refuse(
+                f'exhaustive enumeration at order {config.n} exceeds the '
+                f'guard ceiling {ceiling}; raise {EXHAUSTIVE_MAX_ENV} or '
+                f'override to accept the exponential run time')
     return _HANDLERS[config.command](config)
 
 
@@ -430,9 +455,6 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return run(config)
-    except gamma.GuardRefusal as exc:
-        print(f'refused: {exc}', file=sys.stderr)
-        return EXIT_GUARD
     except BrokenPipeError:
         return EXIT_OK
     except OverflowError as exc:

@@ -22,46 +22,13 @@ exactly once, and conversely each such sequence traces a Hamiltonian
 cycle.  Exhaustive cycle enumeration lists the 2^(2^(n-1) - n) cycles
 by a depth-first search from the all-ones vertex that tries the double
 arc before the complement arc, which lists them in lexicographic order
-of their label sequences read from that vertex.  It is exponential and
-therefore sits behind a guard: orders above the configured ceiling
-(environment variable MDBS_EXHAUSTIVE_MAX, default 6) are refused
-unless explicitly overridden.
+of their label sequences read from that vertex.
 """
 
 import itertools
-import os
 from typing import NamedTuple
 
 from .seqkit import BitSequence
-
-#: Environment variable holding the exhaustive-enumeration ceiling.
-EXHAUSTIVE_MAX_ENV = 'MDBS_EXHAUSTIVE_MAX'
-DEFAULT_EXHAUSTIVE_MAX = 6
-
-Vertex = int
-
-
-class GuardRefusal(RuntimeError):
-    """Raised when an exponential enumeration exceeds the guard ceiling."""
-
-
-def exhaustive_limit():
-    """Current ceiling for exhaustive enumeration."""
-    raw = os.environ.get(EXHAUSTIVE_MAX_ENV, '')
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_EXHAUSTIVE_MAX
-
-
-def guard_exhaustive(n, override_guard=False):
-    """Raise GuardRefusal above exhaustive_limit() unless overridden."""
-    ceiling = exhaustive_limit()
-    if n > ceiling and not override_guard:
-        raise GuardRefusal(
-            f'exhaustive enumeration at order {n} exceeds the guard '
-            f'ceiling {ceiling}; raise {EXHAUSTIVE_MAX_ENV} or override '
-            f'to accept the exponential run time')
 
 
 def _check_order(n, minimum=2):
@@ -233,18 +200,15 @@ def cycle_from_sequence(s, n=None):
     return HamCycle(verts[n - 1:], n)
 
 
-def enumerate_hamiltonian(n, limit=None, override_guard=False):
+def enumerate_hamiltonian(n, limit=None):
     """All Hamiltonian cycles of order n, canonically rotated.
 
     Depth-first search from the all-ones start vertex, exploring the
     double arc (label 0) before the complement arc (label 1), so the
     stream is in lexicographic order of the label sequences read from
-    that vertex.  `limit` truncates the stream.  Orders above the
-    exhaustive guard (see guard_exhaustive) raise GuardRefusal unless
-    `override_guard` is set.
+    that vertex.  `limit` truncates the stream.
     """
     _check_order(n, minimum=3)
-    guard_exhaustive(n, override_guard)
     cycles = _hamiltonian_dfs(n)
     if limit is None:
         return cycles

@@ -16,11 +16,10 @@ decomposition's arc set with exactly that tree's pairs swapped, and two
 trees differ in the arcs into some pair.  The number of distinct joined
 cycles is therefore the tree count, known before any merge, and a
 caller that wants k cycles merges only k.  Trees are listed by
-backtracking whose work grows with the number of trees, and graphs
-above MAX_EXHAUSTIVE_EDGES edges are refused.  A merge is that swap on
-one table per decomposition of every vertex's successor, predecessor
-and cycle: copy the successors, swap them at each pair and walk once;
-HamCycle validates every joined cycle.  The pair scan reads the table's
+backtracking whose work grows with the number of trees.  A merge is
+that swap on one table per decomposition of every vertex's successor,
+predecessor and cycle: copy the successors, swap them at each pair and
+walk once; HamCycle validates every joined cycle.  The pair scan reads the table's
 cycle owners in one pass, and the table and pair graph of the last
 decomposition are cached, so reading the graph and then streaming the
 joins builds each once.
@@ -30,10 +29,7 @@ import functools
 import warnings
 from typing import NamedTuple, Tuple
 
-from .gamma import GuardRefusal, HamCycle
-
-#: Edge-count ceiling for exhaustive spanning tree enumeration.
-MAX_EXHAUSTIVE_EDGES = 24
+from .gamma import HamCycle
 
 
 class JoinGraph(NamedTuple):
@@ -152,13 +148,8 @@ def spanning_trees(graph):
     when it joins two components, and left out only while the later
     edges can still connect the forest.  On a connected graph every
     branch therefore ends in a tree, so the work grows with the number
-    of trees; a disconnected graph is given up after one branch.  Graphs
-    with more than MAX_EXHAUSTIVE_EDGES edges are refused.
+    of trees; a disconnected graph is given up after one branch.
     """
-    if len(graph.edges) > MAX_EXHAUSTIVE_EDGES:
-        raise GuardRefusal(
-            f'{len(graph.edges)} edges exceed the exhaustive spanning-tree '
-            f'ceiling of {MAX_EXHAUSTIVE_EDGES}')
     ends = [e[:2] for e in graph.edges]
     trees, chosen = [], []
 
@@ -244,10 +235,9 @@ def enumerate_joined_cycles(dec):
 
     Yields (pairs, cycle) where pairs are the tree's (r, s) joins in
     edge order, and each cycle starts at the decomposition's first
-    vertex.  The trees are listed up front (the edge guard may refuse),
-    but each cycle is merged only when it is drawn, and no two trees
-    yield the same cycle, so the stream holds best_count(graph)
-    distinct cycles.  A decomposition whose join graph is disconnected
+    vertex.  The trees are listed up front, but each cycle is merged
+    only when it is drawn, and no two trees yield the same cycle, so
+    the stream holds best_count(graph) distinct cycles.  A decomposition whose join graph is disconnected
     yields nothing (with a warning), which cannot happen for
     decompositions produced by a full greedy sweep.
     """

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import _reference as ref
 from mdbs import canonical, gamma, gf2poly, greedy, joiner, seqkit
-from mdbs.gamma import GuardRefusal, HamCycle
+from mdbs.gamma import HamCycle
 
 F4 = gf2poly.build_F(4)
 FIGURE_CYCLE = HamCycle(
@@ -166,11 +166,6 @@ def test_spans_of_all_cycles_small_order():
     assert spans[14] == 10
     assert spans[4] == 2
     assert spans[12] == 4
-
-
-def test_spans_guard():
-    with pytest.raises(GuardRefusal):
-        canonical.spans_of_all_cycles(7)
 
 
 def test_max_span_cycles_have_coprime_generators():

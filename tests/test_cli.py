@@ -258,6 +258,46 @@ def test_join_refusal_writes_nothing_to_stdout(capsys):
     assert captured.err.startswith('refused:')
 
 
+def test_join_edge_ceiling_boundary(capsys):
+    # Seed 78 has exactly 24 edges and is listed; seed 9 has 25.
+    assert cli.main(['join', '--n', '7', '--seed', '78', '--limit', '1']) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = json.loads(lines[0])
+    assert len(head['edges']) == cli.MAX_EXHAUSTIVE_EDGES == 24
+    assert head['best_count'] == 165
+    assert len(lines) == 3
+    assert cli.main(['join', '--n', '7', '--seed', '9']) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith(
+        'refused: 25 edges exceed the exhaustive spanning-tree ceiling of 24')
+
+
+@pytest.mark.parametrize('argv', [
+    'enumerate --n 7', 'tables --n 7 --which 1', 'tables --n 7 --which 2',
+    'tables --n 7 --which 3', 'tables --n 7 --which 4'])
+def test_order_ceiling_refuses_before_stdout(capsys, monkeypatch, argv):
+    monkeypatch.delenv(cli.EXHAUSTIVE_MAX_ENV, raising=False)
+    # The refusal comes before any handler runs; with no handlers, a run
+    # let through fails at once instead of enumerating order 7.
+    monkeypatch.setattr(cli, '_HANDLERS', {})
+    assert cli.main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith(
+        'refused: exhaustive enumeration at order 7 exceeds the guard '
+        'ceiling 6;')
+
+
+def test_run_refuses_in_process(capsys, monkeypatch):
+    monkeypatch.delenv(cli.EXHAUSTIVE_MAX_ENV, raising=False)
+    assert cli.run(cli.RunConfig(command='enumerate', n=7, limit=1)) == 3
+    assert cli.run(cli.RunConfig(command='tables', n=7, which=3)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.count('refused:') == 2
+
+
 def test_enumerate_jsonl_records(capsys):
     assert cli.main(['enumerate', '--n', '4', '--limit', '3']) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -273,21 +313,29 @@ def test_enumerate_jsonl_records(capsys):
             seqkit.parse_sequence(record['sequence']), 4)
 
 
-def test_enumerate_guard_refusal(capsys, monkeypatch):
-    monkeypatch.delenv(gamma.EXHAUSTIVE_MAX_ENV, raising=False)
-    assert cli.main(['enumerate', '--n', '7']) == 3
-    assert capsys.readouterr().err.startswith('refused:')
-
-
 def test_enumerate_guard_override_and_env(capsys, monkeypatch):
-    monkeypatch.delenv(gamma.EXHAUSTIVE_MAX_ENV, raising=False)
+    monkeypatch.delenv(cli.EXHAUSTIVE_MAX_ENV, raising=False)
     assert cli.main(['enumerate', '--n', '7', '--limit', '1',
                      '--override-guard']) == 0
     record = json.loads(capsys.readouterr().out)
     assert len(record['vertices']) == 127
-    monkeypatch.setenv(gamma.EXHAUSTIVE_MAX_ENV, '3')
+    monkeypatch.setenv(cli.EXHAUSTIVE_MAX_ENV, '3')
     assert cli.main(['enumerate', '--n', '4']) == 3
     assert capsys.readouterr().err.startswith('refused:')
+    monkeypatch.setenv(cli.EXHAUSTIVE_MAX_ENV, '4')
+    assert cli.main(['enumerate', '--n', '5']) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert 'guard ceiling 4;' in captured.err
+    assert cli.main(['enumerate', '--n', '4', '--limit', '1']) == 0
+    assert capsys.readouterr().out
+    # A malformed value falls back to the default ceiling of 6.  The
+    # limit keeps a run that is wrongly let through short.
+    monkeypatch.setenv(cli.EXHAUSTIVE_MAX_ENV, 'junk')
+    assert cli.main(['enumerate', '--n', '7', '--limit', '1']) == 3
+    assert 'guard ceiling 6;' in capsys.readouterr().err
+    assert cli.main(['enumerate', '--n', '6', '--limit', '1']) == 0
+    assert capsys.readouterr().out
 
 
 def test_minpoly_text_report(capsys):
@@ -451,12 +499,6 @@ def test_tables_joined_cycles(capsys):
     assert pick[1] == '6 3 9 13 5 10 4 8 15 14 12 7 1 2 11'
     assert pick[3] == 'x^4+x+1'
     assert cli.main(['tables', '--n', '5', '--which', '4']) == 2
-
-
-def test_tables_guard_refusal(capsys, monkeypatch):
-    monkeypatch.delenv(gamma.EXHAUSTIVE_MAX_ENV, raising=False)
-    assert cli.main(['tables', '--n', '7', '--which', '1']) == 3
-    assert capsys.readouterr().err.startswith('refused:')
 
 
 @pytest.mark.parametrize('argv', [

@@ -7,7 +7,7 @@ import pytest
 
 import _reference as ref
 from mdbs import gamma, gf2poly, seqkit
-from mdbs.gamma import GuardRefusal, HamCycle
+from mdbs.gamma import HamCycle
 
 
 def test_successors_known_values():
@@ -294,24 +294,9 @@ def test_enumeration_limit_is_a_prefix_of_the_reference(limit):
                                         limit))
 
 
-def test_enumeration_guard():
-    with pytest.raises(GuardRefusal):
-        gamma.enumerate_hamiltonian(7)
-
-
-def test_enumeration_guard_env_ceiling(monkeypatch):
-    monkeypatch.setenv(gamma.EXHAUSTIVE_MAX_ENV, '4')
-    assert gamma.exhaustive_limit() == 4
-    with pytest.raises(GuardRefusal):
-        gamma.enumerate_hamiltonian(5)
-    monkeypatch.delenv(gamma.EXHAUSTIVE_MAX_ENV)
-    assert gamma.exhaustive_limit() == gamma.DEFAULT_EXHAUSTIVE_MAX
-
-
 def test_enumeration_depth_is_not_bounded_by_recursion():
     # A cycle at order 10 is 1023 vertices deep in the search.
-    cycle = next(gamma.enumerate_hamiltonian(10, limit=1,
-                                             override_guard=True))
+    cycle = next(gamma.enumerate_hamiltonian(10, limit=1))
     assert len(cycle) == 1023
     assert cycle.vertices[0] == 1023
 
