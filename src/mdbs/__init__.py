@@ -17,7 +17,7 @@ decompositions), joiner (cycle joining and spanning-tree counts),
 canonical (generators and minimal polynomials), cli (command line).
 """
 
-from .seqkit import BitSequence, BmResult
+from .seqkit import BitSequence
 from .gamma import GammaGraph, HamCycle
 from .greedy import PsiDecomposition
 from .joiner import JoinGraph, JoinMatrix
@@ -27,7 +27,6 @@ __version__ = '0.1.0'
 
 __all__ = [
     'BitSequence',
-    'BmResult',
     'GammaGraph',
     'HamCycle',
     'JoinGraph',

@@ -111,14 +111,13 @@ def minimal_polynomial_of_cycle(cycle):
     labels = cycle_to_sequence(cycle)
     c_h = _generator(cycle, labels)
     d, f = _lowest_terms(c_h, build_F(cycle.n))
-    bm = berlekamp_massey(labels)
     return MinPolyReport(
         c_h=c_h,
         d=d,
         f=f,
         f_star=gf2poly.reciprocal(f),
         span=gf2poly.degree(f),
-        bm_check=bm.minimal_polynomial,
+        bm_check=berlekamp_massey(labels),
     )
 
 

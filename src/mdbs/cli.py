@@ -8,8 +8,9 @@ verifying sequences and cycles, and reproducing the bundled reference
 tables.
 
 Exit codes: 0 success, 2 usage, malformed input or an order too large
-to index, 3 exhaustive-guard refusal, 4 verification failure.  Given
-the same configuration (including seeds) every command writes
+to index or to hold in memory, 3 exhaustive-guard refusal, 4
+verification failure.  A reader that closes stdout early is no error.
+Given the same configuration (including seeds) every command writes
 byte-identical output.
 
 The library never refuses work; this module holds the one refusal
@@ -91,25 +92,28 @@ def parse_args(argv=None):
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--alg', choices=['complement', 'double'],
                    default='complement')
-    p.add_argument('--v-init', type=int, default=None)
-    p.add_argument('--all', action='store_true', dest='all_inits',
-                   help='walk from every initial vertex')
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument('--v-init', type=int, default=None)
+    start.add_argument('--all', action='store_true', dest='all_inits',
+                       help='walk from every initial vertex')
     p.add_argument('--format', choices=['text', 'jsonl'], default=None)
 
     p = sub.add_parser('decompose',
                        help='greedy cycle decomposition of the vertex set')
     p.add_argument('--n', type=int, required=True)
-    p.add_argument('--seed', default=None,
-                   help='shuffle seed for the visit order')
-    p.add_argument('--order', type=_csv_ints, default=None,
-                   help='visit order prefix, comma-separated')
+    visit = p.add_mutually_exclusive_group()
+    visit.add_argument('--seed', default=None,
+                       help='shuffle seed for the visit order')
+    visit.add_argument('--order', type=_csv_ints, default=None,
+                       help='visit order prefix, comma-separated')
     p.add_argument('--format', choices=['jsonl', 'text'], default=None)
 
     p = sub.add_parser('join',
                        help='join a decomposition along every spanning tree')
     p.add_argument('--n', type=int, required=True)
-    p.add_argument('--seed', default=None)
-    p.add_argument('--order', type=_csv_ints, default=None)
+    visit = p.add_mutually_exclusive_group()
+    visit.add_argument('--seed', default=None)
+    visit.add_argument('--order', type=_csv_ints, default=None)
     p.add_argument('--limit', type=int, default=None)
     p.add_argument('--format', choices=['jsonl', 'text'], default=None)
 
@@ -214,8 +218,6 @@ def cmd_greedy(cfg):
             else:
                 print(f'{v}\t{ham}\t{",".join(verts)}')
         return EXIT_OK
-    if cfg.v_init is None:
-        return _usage('greedy needs --v-init or --all')
     path = walker(cfg.n, cfg.v_init)
     ham = greedy.is_hamiltonian(path, cfg.n)
     fmt = cfg.format or 'text'
@@ -351,15 +353,15 @@ def cmd_verify(cfg):
         debruijn = seq.period == (1 << n) and seqkit.is_de_bruijn(seq, n)
         mdb = (seq.period == (1 << n) - 1
                and seqkit.is_modified_de_bruijn(seq, n))
-        bm = seqkit.berlekamp_massey(seq)
+        f = seqkit.berlekamp_massey(seq)
         span_form = None
         if debruijn and n >= 3:
-            span_form = seqkit.has_span_form(bm, n)
+            span_form = seqkit.has_span_form(f, n)
         ok = debruijn or mdb
         record = {'n': n, 'period': seq.period, 'de_bruijn': debruijn,
                   'modified_de_bruijn': mdb,
-                  'linear_complexity': bm.linear_complexity,
-                  'minimal_polynomial': gf2poly.to_text(bm.minimal_polynomial),
+                  'linear_complexity': gf2poly.degree(f),
+                  'minimal_polynomial': gf2poly.to_text(f),
                   'span_form': span_form, 'ok': ok}
     _print_record(cfg, record)
     return EXIT_OK if ok else EXIT_VERIFY
@@ -454,13 +456,19 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return run(config)
+        code = run(config)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
+        # The reader has gone.  Send what is still buffered to devnull,
+        # or the interpreter's final flush raises again at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except OverflowError as exc:
+    except (OverflowError, MemoryError) as exc:
+        reason = str(exc) or type(exc).__name__
         if config.n is None:
-            return _usage(exc)
-        return _usage(f'order {config.n} is too large to index ({exc})')
+            return _usage(reason)
+        return _usage(f'order {config.n} is too large to index ({reason})')
     except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         return _usage(exc)
 

@@ -22,8 +22,9 @@ are supported:
 
 The module also builds the all-ones polynomial of degree 2**n - 2 (the
 product of every irreducible binary polynomial whose degree divides n
-and exceeds 1), expands rational power series, and counts irreducible
-polynomials by degree.
+and exceeds 1), expands rational power series into packed ints, and
+counts irreducible polynomials by degree.  It imports nothing from the
+rest of the package.
 """
 
 import itertools
@@ -142,15 +143,15 @@ def build_F(n):
 
 
 def expand_series(g, f, count):
-    """First `count` coefficients of the power series g(x)/f(x).
+    """First `count` coefficients of the power series g(x)/f(x), packed.
 
-    Requires f(0) = 1 and deg(g) < deg(f).  Computed by long division
-    from the constant term up: the next series bit is the current
-    remainder's constant term, after which f is subtracted and one
-    power of x is peeled off.
+    The constant term is the most significant of the `count` bits, so
+    the int is the value of a BitSequence of period `count`.  Requires
+    f(0) = 1 and deg(g) < deg(f).  Computed by long division from the
+    constant term up: the next series bit is the current remainder's
+    constant term, after which f is subtracted and one power of x is
+    peeled off.
     """
-    from .seqkit import BitSequence
-
     if not f & 1:
         raise ValueError('series expansion requires f(0) = 1')
     if g.bit_length() >= f.bit_length():
@@ -164,7 +165,7 @@ def expand_series(g, f, count):
         if bit:
             r ^= f
         r >>= 1
-    return BitSequence(value, count)
+    return value
 
 
 def _mobius(n):

@@ -133,11 +133,13 @@ def psi_decompose(n, visit_order=None, seed=None):
     The order may be given as a duplicate-free sequence of vertices
     (completed with the remaining vertices in ascending order),
     produced by shuffling with `seed`, or left as the natural ascending
-    order.  Each sweep starts a cycle at the first unused vertex of the
-    order and grows it by the prefer-complement rule against the global
-    used set.
+    order; giving both an order and a seed is a ValueError.  Each sweep
+    starts a cycle at the first unused vertex of the order and grows it
+    by the prefer-complement rule against the global used set.
     """
     _check_order(n)
+    if visit_order is not None and seed is not None:
+        raise ValueError('give a visit order or a seed, not both')
     size = (1 << n) - 1
     if visit_order is not None:
         given = tuple(visit_order)
@@ -147,15 +149,13 @@ def psi_decompose(n, visit_order=None, seed=None):
             raise ValueError('visit order repeats a vertex')
         rest = sorted(set(range(1, size + 1)) - set(given))
         order = given + tuple(rest)
-        seed_text = None
     elif seed is not None:
+        seed = str(seed)
         order = list(range(1, size + 1))
-        random.Random(str(seed)).shuffle(order)
+        random.Random(seed).shuffle(order)
         order = tuple(order)
-        seed_text = str(seed)
     else:
         order = tuple(range(1, size + 1))
-        seed_text = None
     visited = bytearray(size + 1)
     visited[0] = 1
     cycles = []
@@ -170,4 +170,4 @@ def psi_decompose(n, visit_order=None, seed=None):
             raise AssertionError(
                 'internal error: greedy cycle failed to close')
         cycles.append(tuple(cycle))
-    return PsiDecomposition(n, cycles, order=order, seed=seed_text)
+    return PsiDecomposition(n, cycles, order=order, seed=seed)

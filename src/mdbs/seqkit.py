@@ -5,16 +5,14 @@ an int.  The tools here recognize de Bruijn sequences of order n
 (period 2^n, every length-n window exactly once) and their modified
 counterparts (period 2^n - 1, every nonzero window exactly once),
 convert between the two by removing or restoring one zero inside the
-longest zero run, and measure linear complexity with the
+longest zero run, and find minimal polynomials with the
 Berlekamp-Massey algorithm.
 
-Minimal polynomials follow the characteristic convention: a sequence s
-is annihilated by f(x) = x^m + f_(m-1) x^(m-1) + ... + f_0 in the sense
-that s_(k+m) = sum(f_i * s_(k+i)), so deg(f) equals the linear
+Minimal polynomials are gf2poly ints in the characteristic convention:
+a sequence s is annihilated by f(x) = x^m + f_(m-1) x^(m-1) + ... + f_0
+in the sense that s_(k+m) = sum(f_i * s_(k+i)), so deg(f) is the linear
 complexity and f(0) = 1 for any periodic sequence.
 """
-
-from typing import NamedTuple
 
 from . import gf2poly
 
@@ -56,13 +54,6 @@ class BitSequence:
         return f'BitSequence(0b{self.to_text()}, {self.period})'
 
 
-class BmResult(NamedTuple):
-    """Outcome of Berlekamp-Massey: complexity and minimal polynomial."""
-
-    linear_complexity: int
-    minimal_polynomial: int
-
-
 def parse_sequence(text):
     """Parse '0101...', '(0,1,0,1,...)' or '0,1,0,1,...' into a BitSequence.
 
@@ -87,7 +78,7 @@ def shift(s, k):
 
 
 def berlekamp_massey(s):
-    """Linear complexity and minimal polynomial of the periodic s.
+    """Minimal polynomial of the periodic s; its degree is the complexity.
 
     Two periods are processed, which pins down the shortest LFSR for
     any sequence of linear complexity at most the period.  The
@@ -111,8 +102,7 @@ def berlekamp_massey(s):
         else:
             c ^= b << m
             m += 1
-    poly = int(format(c, f'0{length + 1}b')[::-1], 2)
-    return BmResult(length, poly)
+    return int(format(c, f'0{length + 1}b')[::-1], 2)
 
 
 def _windows(s, n):
@@ -209,11 +199,10 @@ def check_de_bruijn_span_form(s, n):
     return has_span_form(berlekamp_massey(s), n)
 
 
-def has_span_form(bm, n):
-    """Whether a BmResult is (x + 1)^z with 2^(n-1) + 1 <= z <= 2^n."""
-    z = bm.linear_complexity
-    if not (1 << (n - 1)) + 1 <= z <= (1 << n):
+def has_span_form(f, n):
+    """Whether the polynomial f is (x + 1)^z with 2^(n-1) + 1 <= z <= 2^n."""
+    if not (1 << (n - 1)) + 1 <= gf2poly.degree(f) <= (1 << n):
         return False
     # The divisors of x^(2^n) + 1 = (x + 1)^(2^n) are the powers of x + 1.
-    _, rem = gf2poly.div_rem(1 << (1 << n) | 1, bm.minimal_polynomial)
+    _, rem = gf2poly.div_rem(1 << (1 << n) | 1, f)
     return not rem

@@ -131,9 +131,10 @@ def test_report_internal_consistency():
         assert report.f_star == gf2poly.reciprocal(report.f)
         assert report.span == gf2poly.degree(report.f)
         assert report.bm_check == report.f
-        series = gf2poly.expand_series(report.c_h, f_n, (1 << cycle.n) - 1)
-        bm_series = seqkit.berlekamp_massey(series)
-        assert bm_series.minimal_polynomial == report.f_star
+        period = (1 << cycle.n) - 1
+        series = seqkit.BitSequence(
+            gf2poly.expand_series(report.c_h, f_n, period), period)
+        assert seqkit.berlekamp_massey(series) == report.f_star
         arcs = gamma.cycle_to_sequence(cycle)
         assert ref.same_cycle(
             arcs, seqkit.parse_sequence(series.to_text()[::-1]))

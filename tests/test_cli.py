@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -36,7 +40,8 @@ def test_usage_errors_exit_2(capsys):
                      '--format', 'csv']) == 2
     capsys.readouterr()
     assert cli.main(['greedy', '--n', '4']) == 2
-    assert 'greedy needs' in capsys.readouterr().err
+    assert 'one of the arguments --v-init --all is required' \
+        in capsys.readouterr().err
     assert cli.main(['minpoly', '--n', '4']) == 2
     assert cli.main(['minpoly', '--n', '4', '--cycle', '1,2',
                      '--sequence', '111']) == 2
@@ -46,6 +51,31 @@ def test_usage_errors_exit_2(capsys):
         assert cli.main(['verify', '--sequence', text]) == 2
         captured = capsys.readouterr()
         assert captured.out == '' and 'bad sequence text' in captured.err
+    for argv in ('greedy --n 4 --v-init 3 --all',
+                 'decompose --n 4 --order 6,4,14 --seed 5',
+                 'join --n 4 --order 6,4,14 --seed 5'):
+        assert cli.main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert 'not allowed with argument' in captured.err
+
+
+def test_closed_pipe_exits_0_quietly():
+    # `mdbs greedy --n 11 --all | head -c 100`: the output outgrows the
+    # pipe, so the writer meets the closed pipe, and each line outgrows
+    # the stdout buffer, which keeps bytes for the final flush at exit.
+    env = dict(os.environ)
+    env.pop('PYTHONUNBUFFERED', None)
+    env['PYTHONPATH'] = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, '-m', 'mdbs.cli', 'greedy', '--n', '11', '--all'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b''
 
 
 def test_help_exits_cleanly(capsys):
@@ -510,6 +540,17 @@ def test_order_too_large_to_index_exits_2(capsys, argv):
     assert captured.out == ''
     assert captured.err.startswith('error: order 100 is too large')
     assert len(captured.err.splitlines()) == 1
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, 'decompose', exhausted)
+    assert cli.main(['decompose', '--n', '40']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == ('error: order 40 is too large to index '
+                            '(MemoryError)\n')
 
 
 def test_run_accepts_config_directly(capsys):

@@ -322,6 +322,7 @@ def test_walk_matches_series_expansion_reversal():
     g = gf2poly.parse('x^10+x^8+x^5+x+1')
     cycle = HamCycle(ref.ref_walk_of_generator(g, 4), 4)
     arcs = gamma.cycle_to_sequence(cycle)
-    series = gf2poly.expand_series(g, gf2poly.build_F(4), 15)
+    series = seqkit.BitSequence(
+        gf2poly.expand_series(g, gf2poly.build_F(4), 15), 15)
     assert ref.same_cycle(
         arcs, seqkit.parse_sequence(series.to_text()[::-1]))

@@ -188,6 +188,8 @@ def test_psi_decompose_rejects_bad_orders():
         greedy.psi_decompose(4, visit_order=(0,))
     with pytest.raises(ValueError):
         greedy.psi_decompose(4, visit_order=(16,))
+    with pytest.raises(ValueError, match='not both'):
+        greedy.psi_decompose(4, visit_order=(6, 4, 14), seed=5)
 
 
 def test_decomposition_validation():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference as ref
-from mdbs import gamma, greedy, joiner, seqkit
+from mdbs import gamma, gf2poly, greedy, joiner, seqkit
 from mdbs.seqkit import BitSequence, parse_sequence
 
 EDGE_PERIODS = (1, 2, 63, 64, 65, 127, 128, 255, 256)
@@ -38,8 +38,9 @@ def _bits(s):
 
 
 def _bm(bits):
-    got = seqkit.berlekamp_massey(_seq(bits))
-    return got.linear_complexity, int(got.minimal_polynomial)
+    """(degree, polynomial) of the BM result, the oracle's pair."""
+    f = seqkit.berlekamp_massey(_seq(bits))
+    return gf2poly.degree(f), f
 
 
 @properties
