@@ -126,9 +126,5 @@ def spans_of_all_cycles(n):
 
     Returns a Counter mapping span -> number of cycles.
     """
-    f = build_F(n)
-    counts = Counter()
-    for cycle in enumerate_hamiltonian(n):
-        span = gf2poly.degree(_lowest_terms(canonical_generator(cycle), f)[1])
-        counts[span] += 1
-    return counts
+    return Counter(gf2poly.degree(minimal_polynomial(c))
+                   for c in enumerate_hamiltonian(n))

@@ -9,9 +9,9 @@ tables.
 
 Exit codes: 0 success, 2 usage, malformed input or an order too large
 to index or to hold in memory, 3 exhaustive-guard refusal, 4
-verification failure.  A reader that closes stdout early is no error.
-Given the same configuration (including seeds) every command writes
-byte-identical output.
+verification failure or a failed internal check.  A reader that closes
+stdout early is no error.  Given the same configuration (including
+seeds) every command writes byte-identical output.
 
 The library never refuses work; this module holds the one refusal
 policy for its two exponential runs.  `enumerate` and `tables` refuse
@@ -27,7 +27,6 @@ import itertools
 import json
 import os
 import sys
-from typing import NamedTuple, Optional, Tuple
 
 from . import canonical, gamma, gf2poly, greedy, joiner, seqkit
 
@@ -43,29 +42,6 @@ DEFAULT_EXHAUSTIVE_MAX = 6
 MAX_EXHAUSTIVE_EDGES = 24
 
 
-class RunConfig(NamedTuple):
-    """Fully parsed invocation; identical configs give identical output.
-
-    Field names are the argparse destinations, so parse_args builds a
-    config straight from the parsed namespace.
-    """
-
-    command: str
-    n: Optional[int] = None
-    v_init: Optional[int] = None
-    seed: Optional[str] = None
-    limit: Optional[int] = None
-    format: Optional[str] = None
-    override_guard: bool = False
-    alg: str = 'complement'
-    order: Optional[Tuple[int, ...]] = None
-    which: Optional[int] = None
-    cycle: Optional[str] = None
-    sequence: Optional[str] = None
-    all_inits: bool = False
-    highlight: Optional[str] = None
-
-
 def _csv_ints(text):
     try:
         return tuple(int(p) for p in text.replace(' ', '').split(',') if p)
@@ -75,7 +51,10 @@ def _csv_ints(text):
 
 
 def parse_args(argv=None):
-    """Parse argv into a RunConfig (argparse exits with code 2 on errors)."""
+    """Parse argv into argparse's namespace, the one run configuration.
+
+    Argparse exits with code 2 on errors.  Every subcommand defines --n.
+    """
     parser = argparse.ArgumentParser(
         prog='mdbs',
         description='Binary sequences with every nonzero window exactly '
@@ -106,7 +85,7 @@ def parse_args(argv=None):
                        help='shuffle seed for the visit order')
     visit.add_argument('--order', type=_csv_ints, default=None,
                        help='visit order prefix, comma-separated')
-    p.add_argument('--format', choices=['jsonl', 'text'], default=None)
+    p.add_argument('--format', choices=['jsonl', 'text'], default='jsonl')
 
     p = sub.add_parser('join',
                        help='join a decomposition along every spanning tree')
@@ -115,7 +94,7 @@ def parse_args(argv=None):
     visit.add_argument('--seed', default=None)
     visit.add_argument('--order', type=_csv_ints, default=None)
     p.add_argument('--limit', type=int, default=None)
-    p.add_argument('--format', choices=['jsonl', 'text'], default=None)
+    p.add_argument('--format', choices=['jsonl', 'text'], default='jsonl')
 
     p = sub.add_parser('enumerate',
                        help='all Hamiltonian cycles with full reports')
@@ -132,14 +111,14 @@ def parse_args(argv=None):
                        help="comma-separated vertices ('-' reads stdin)")
     given.add_argument('--sequence', default=None,
                        help="bit string or (1,0,...) tuple ('-' reads stdin)")
-    p.add_argument('--format', choices=['text', 'jsonl'], default=None)
+    p.add_argument('--format', choices=['text', 'jsonl'], default='text')
 
     p = sub.add_parser('verify', help='check a sequence or cycle')
     p.add_argument('--n', type=int, default=None)
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument('--cycle', default=None)
     given.add_argument('--sequence', default=None)
-    p.add_argument('--format', choices=['text', 'jsonl'], default=None)
+    p.add_argument('--format', choices=['text', 'jsonl'], default='text')
 
     p = sub.add_parser('tables', help='reproduce the reference tables')
     p.add_argument('--n', type=int, required=True)
@@ -147,7 +126,7 @@ def parse_args(argv=None):
     p.add_argument('--override-guard', action='store_true',
                    dest='override_guard')
 
-    return RunConfig(**vars(parser.parse_args(argv)))
+    return parser.parse_args(argv)
 
 
 def _usage(message):
@@ -180,15 +159,16 @@ def _report_record(cycle, report):
 
 def _print_record(cfg, record, text_keys=None):
     """One JSON line, or `key = value` lines for text_keys (default all)."""
-    if (cfg.format or 'text') == 'jsonl':
+    if cfg.format == 'jsonl':
         print(json.dumps(record))
     else:
         for key in text_keys or record:
             print(f'{key} = {record[key]}')
 
 
-def _decomposition(cfg):
-    return greedy.psi_decompose(cfg.n, visit_order=cfg.order, seed=cfg.seed)
+def _take(stream, limit):
+    """The first `limit` items of stream: all when None, none below 1."""
+    return stream if limit is None else itertools.islice(stream, max(limit, 0))
 
 
 def cmd_graph(cfg):
@@ -237,9 +217,8 @@ def cmd_greedy(cfg):
 
 
 def cmd_decompose(cfg):
-    dec = _decomposition(cfg)
-    fmt = cfg.format or 'jsonl'
-    if fmt == 'jsonl':
+    dec = greedy.psi_decompose(cfg.n, visit_order=cfg.order, seed=cfg.seed)
+    if cfg.format == 'jsonl':
         print(json.dumps({'n': dec.n,
                           'cycles': [list(c) for c in dec.cycles],
                           'order_seed': dec.seed}))
@@ -250,15 +229,14 @@ def cmd_decompose(cfg):
 
 
 def cmd_join(cfg):
-    dec = _decomposition(cfg)
+    dec = greedy.psi_decompose(cfg.n, visit_order=cfg.order, seed=cfg.seed)
     graph = joiner.complement_pairs(dec)
     if len(graph.edges) > MAX_EXHAUSTIVE_EDGES:
         return _refuse(f'{len(graph.edges)} edges exceed the exhaustive '
                        f'spanning-tree ceiling of {MAX_EXHAUSTIVE_EDGES}')
     count = joiner.best_count(graph)
     joined = joiner.enumerate_joined_cycles(dec)
-    fmt = cfg.format or 'jsonl'
-    if fmt == 'jsonl':
+    if cfg.format == 'jsonl':
         print(json.dumps({'n': dec.n,
                           'cycles': [list(c) for c in dec.cycles],
                           'edges': [list(e) for e in graph.edges],
@@ -269,11 +247,9 @@ def cmd_join(cfg):
     # Different trees swap different pairs' arcs, so every tree's cycle
     # is distinct and the footer is the tree count: only printed rows
     # are merged.
-    if cfg.limit is not None:
-        joined = itertools.islice(joined, max(cfg.limit, 0))
-    for pairs, cycle in joined:
+    for pairs, cycle in _take(joined, cfg.limit):
         f = gf2poly.to_text(canonical.minimal_polynomial(cycle))
-        if fmt == 'jsonl':
+        if cfg.format == 'jsonl':
             print(json.dumps({'tree_edges': [list(p) for p in pairs],
                               'vertices': list(cycle.vertices),
                               'sequence':
@@ -283,7 +259,7 @@ def cmd_join(cfg):
             tree = ''.join(f'({r},{s})' for r, s in pairs)
             verts = ','.join(str(v) for v in cycle.vertices)
             print(f'{tree or "(identity)"} -> {verts} minpoly={f}')
-    if fmt == 'jsonl':
+    if cfg.format == 'jsonl':
         print(json.dumps({'distinct_joined_cycles': count}))
     else:
         print(f'distinct joined cycles: {count}')
@@ -291,7 +267,7 @@ def cmd_join(cfg):
 
 
 def cmd_enumerate(cfg):
-    for cycle in gamma.enumerate_hamiltonian(cfg.n, limit=cfg.limit):
+    for cycle in _take(gamma.enumerate_hamiltonian(cfg.n), cfg.limit):
         report = canonical.minimal_polynomial_of_cycle(cycle)
         print(json.dumps(_report_record(cycle, report)))
     return EXIT_OK
@@ -471,6 +447,10 @@ def main(argv=None):
         return _usage(f'order {config.n} is too large to index ({reason})')
     except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError) as exc:
         return _usage(exc)
+    except RuntimeError as exc:
+        # A failed internal self-check is a verification failure.
+        print(f'error: {exc}', file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == '__main__':

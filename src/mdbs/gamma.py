@@ -25,7 +25,6 @@ arc before the complement arc, which lists them in lexicographic order
 of their label sequences read from that vertex.
 """
 
-import itertools
 from typing import NamedTuple
 
 from .seqkit import BitSequence
@@ -200,19 +199,16 @@ def cycle_from_sequence(s, n=None):
     return HamCycle(verts[n - 1:], n)
 
 
-def enumerate_hamiltonian(n, limit=None):
+def enumerate_hamiltonian(n):
     """All Hamiltonian cycles of order n, canonically rotated.
 
     Depth-first search from the all-ones start vertex, exploring the
     double arc (label 0) before the complement arc (label 1), so the
     stream is in lexicographic order of the label sequences read from
-    that vertex.  `limit` truncates the stream.
+    that vertex.
     """
     _check_order(n, minimum=3)
-    cycles = _hamiltonian_dfs(n)
-    if limit is None:
-        return cycles
-    return itertools.islice(cycles, max(limit, 0))
+    return _hamiltonian_dfs(n)
 
 
 def _hamiltonian_dfs(n):

@@ -42,11 +42,6 @@ def degree(a):
     return a.bit_length() - 1
 
 
-def add(a, b):
-    """Sum of polynomials a and b (coefficientwise XOR)."""
-    return a ^ b
-
-
 def mul(a, b):
     """Product of polynomials a and b (shift-and-xor schoolbook)."""
     if a < b:

@@ -167,7 +167,6 @@ def psi_decompose(n, visit_order=None, seed=None):
         _grow(cycle, visited, n, prefer_double=False)
         d, c = successors(cycle[-1], n)
         if cycle[0] not in (d, c):
-            raise AssertionError(
-                'internal error: greedy cycle failed to close')
+            raise RuntimeError('internal error: greedy cycle failed to close')
         cycles.append(tuple(cycle))
     return PsiDecomposition(n, cycles, order=order, seed=seed)

@@ -144,7 +144,7 @@ def _factor_degrees_divide(f, n):
         if n % d or gf2poly.degree(remaining) <= 0:
             continue
         x_pow = gf2poly.pow_mod(x, 1 << d, remaining)
-        part = gf2poly.gcd(gf2poly.add(x_pow, x), remaining)
+        part = gf2poly.gcd(x_pow ^ x, remaining)
         if gf2poly.degree(part) > 0:
             remaining = gf2poly.div_rem(remaining, part)[0]
     return remaining == 1

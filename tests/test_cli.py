@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from mdbs import canonical, cli, gamma, greedy, joiner, seqkit
+from mdbs import canonical, cli, gamma, gf2poly, greedy, joiner, seqkit
 
 FINAL_CYCLE = '1,2,11,9,13,5,10,4,7,14,3,6,12,8,15'
 DE_BRUIJN_16 = '0000100110101111'
@@ -321,8 +322,9 @@ def test_order_ceiling_refuses_before_stdout(capsys, monkeypatch, argv):
 
 def test_run_refuses_in_process(capsys, monkeypatch):
     monkeypatch.delenv(cli.EXHAUSTIVE_MAX_ENV, raising=False)
-    assert cli.run(cli.RunConfig(command='enumerate', n=7, limit=1)) == 3
-    assert cli.run(cli.RunConfig(command='tables', n=7, which=3)) == 3
+    assert cli.run(cli.parse_args(['enumerate', '--n', '7',
+                                   '--limit', '1'])) == 3
+    assert cli.run(cli.parse_args(['tables', '--n', '7', '--which', '3'])) == 3
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err.count('refused:') == 2
@@ -341,6 +343,18 @@ def test_enumerate_jsonl_records(capsys):
         assert record['span'] in {4, 12, 14}
         assert seqkit.is_modified_de_bruijn(
             seqkit.parse_sequence(record['sequence']), 4)
+
+
+@pytest.mark.parametrize('limit', ['0', '-1'])
+def test_enumerate_nonpositive_limit_prints_nothing(capsys, monkeypatch,
+                                                    limit):
+    calls = {}
+    _count_calls(monkeypatch, canonical, 'minimal_polynomial_of_cycle', calls)
+    assert cli.main(['enumerate', '--n', '4', '--limit', limit]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == ''
+    assert calls == {}
 
 
 def test_enumerate_guard_override_and_env(capsys, monkeypatch):
@@ -553,8 +567,30 @@ def test_memory_error_exits_2(capsys, monkeypatch):
                             '(MemoryError)\n')
 
 
+@pytest.mark.parametrize('module, name, broken, argv', [
+    # Labels of odd weight have no quotient by x + 1.
+    (canonical, 'shift', lambda s, k: seqkit.BitSequence(1, s.period),
+     ['minpoly', '--n', '4', '--cycle', FINAL_CYCLE]),
+    # A gcd that does not divide F.
+    (gf2poly, 'gcd', lambda a, b: 2,
+     ['minpoly', '--n', '4', '--cycle', FINAL_CYCLE]),
+    # A greedy sweep whose cycles never grow cannot close.
+    (greedy, '_grow', lambda *args, **kwargs: None, ['decompose', '--n', '4']),
+], ids=['odd-weight-labels', 'gcd-not-dividing-F', 'unclosed-greedy-cycle'])
+def test_internal_error_exits_4(capsys, monkeypatch, module, name, broken,
+                                argv):
+    monkeypatch.setattr(module, name, broken)
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.startswith('error: internal error: ')
+    assert len(captured.err.splitlines()) == 1
+    assert 'Traceback' not in captured.err
+
+
 def test_run_accepts_config_directly(capsys):
-    config = cli.RunConfig(command='tables', n=4, which=1)
+    config = argparse.Namespace(command='tables', n=4, which=1,
+                                override_guard=False)
     assert cli.run(config) == 0
     assert capsys.readouterr().out == '4,12,14\n'
 
