@@ -18,7 +18,7 @@ canonical (generators and minimal polynomials), cli (command line).
 """
 
 from .seqkit import BitSequence
-from .gamma import GammaGraph, HamCycle
+from .gamma import HamCycle
 from .greedy import PsiDecomposition
 from .joiner import JoinGraph, JoinMatrix
 from .canonical import MinPolyReport
@@ -27,7 +27,6 @@ __version__ = '0.1.0'
 
 __all__ = [
     'BitSequence',
-    'GammaGraph',
     'HamCycle',
     'JoinGraph',
     'JoinMatrix',

@@ -172,8 +172,7 @@ def _take(stream, limit):
 
 
 def cmd_graph(cfg):
-    graph = gamma.build(cfg.n)
-    sys.stdout.write(gamma.dot_export(graph, cfg.highlight))
+    sys.stdout.write(gamma.dot_export(cfg.n, cfg.highlight))
     return EXIT_OK
 
 
@@ -326,9 +325,8 @@ def cmd_verify(cfg):
                 n = period.bit_length() - 1
             else:
                 return _usage('cannot infer the order; pass --n')
-        debruijn = seq.period == (1 << n) and seqkit.is_de_bruijn(seq, n)
-        mdb = (seq.period == (1 << n) - 1
-               and seqkit.is_modified_de_bruijn(seq, n))
+        debruijn = seqkit.is_de_bruijn(seq, n)
+        mdb = seqkit.is_modified_de_bruijn(seq, n)
         f = seqkit.berlekamp_massey(seq)
         span_form = None
         if debruijn and n >= 3:

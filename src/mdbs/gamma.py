@@ -25,8 +25,6 @@ arc before the complement arc, which lists them in lexicographic order
 of their label sequences read from that vertex.
 """
 
-from typing import NamedTuple
-
 from .seqkit import BitSequence
 
 
@@ -52,51 +50,37 @@ def _targets(a, mask):
 
 
 def successors(a, n):
-    """Successor pair (double, complement) of vertex a; double may be None."""
+    """Successor pair (double, complement) of a; double 0 if no such arc."""
     _check_order(n)
     _check_vertex(a, n)
-    d, c = _targets(a, (1 << n) - 1)
-    return (d or None, c)
+    return _targets(a, (1 << n) - 1)
 
 
-class GammaGraph(NamedTuple):
-    """The full digraph of some order n, built by `build`.
+def arcs(n):
+    """All arcs of order n >= 3 as (source, target, label), 0 = double.
 
-    Only the order is stored; `arcs` computes each vertex's targets
-    from the arc rule `_targets`.
+    A generator, so n is checked at the first next().
     """
-
-    n: int
-
-    @property
-    def vertices(self):
-        return range(1, 1 << self.n)
-
-    def arcs(self):
-        """All arcs as (source, target, label) with label 0 = double."""
-        mask = (1 << self.n) - 1
-        for a in self.vertices:
-            d, c = _targets(a, mask)
-            if d:
-                yield (a, d, 0)
-            yield (a, c, 1)
-
-    def loop_vertex(self):
-        """The vertex carrying the graph's one self-loop.
-
-        A double arc never loops, since 2A = A (mod 2^n) only for A = 0.
-        The complement arc loops where 3A = 2^n - 1 (no wrap, n even) or
-        3A = 2^(n+1) - 1 (wrap, n odd), so every order n >= 3 has exactly
-        one self-loop, on a complement arc, at (2^n - 1)/3 for even n and
-        (2^(n+1) - 1)/3 for odd n.
-        """
-        return ((1 << (self.n + self.n % 2)) - 1) // 3
-
-
-def build(n):
-    """Construct the graph of order n >= 3."""
     _check_order(n, minimum=3)
-    return GammaGraph(n)
+    mask = (1 << n) - 1
+    for a in range(1, mask + 1):
+        d, c = _targets(a, mask)
+        if d:
+            yield (a, d, 0)
+        yield (a, c, 1)
+
+
+def loop_vertex(n):
+    """The vertex carrying the one self-loop of order n >= 3.
+
+    A double arc never loops, since 2A = A (mod 2^n) only for A = 0.
+    The complement arc loops where 3A = 2^n - 1 (no wrap, n even) or
+    3A = 2^(n+1) - 1 (wrap, n odd), so every order n >= 3 has exactly
+    one self-loop, on a complement arc, at (2^n - 1)/3 for even n and
+    (2^(n+1) - 1)/3 for odd n.
+    """
+    _check_order(n, minimum=3)
+    return ((1 << (n + n % 2)) - 1) // 3
 
 
 def _is_closed_walk(verts, size):
@@ -151,12 +135,6 @@ class HamCycle:
         """The vertices rotated to start at the all-ones vertex."""
         top = self.vertices.index((1 << self.n) - 1)
         return self.vertices[top:] + self.vertices[:top]
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
 
     def __eq__(self, other):
         if isinstance(other, HamCycle):
@@ -256,20 +234,22 @@ def _hamiltonian_dfs(n):
         path.append(a)
 
 
-def dot_export(graph, highlight=None):
-    """Graphviz text for the graph; arcs of `highlight` are bolded.
+def dot_export(n, highlight=None):
+    """Graphviz text for the graph of order n; arcs of `highlight` bold.
 
     Double arcs come out as blue with label 0, complement arcs red
-    with label 1.  `highlight` may be a HamCycle or an ordered vertex
-    sequence; its arcs (including the wrap-around) get style="bold".
+    with label 1.  `highlight` is an ordered vertex sequence, such as a
+    HamCycle's `.vertices`; its arcs (including the wrap-around) get
+    style="bold".  The whole text is built before it is returned, so
+    an order below 3 raises before anything is written.
     """
     bold = set()
     if highlight is not None:
         verts = tuple(highlight)
         for i, a in enumerate(verts):
             bold.add((a, verts[(i + 1) % len(verts)]))
-    lines = [f'digraph gamma_{graph.n} {{']
-    for a, b, label in graph.arcs():
+    lines = [f'digraph gamma_{n} {{']
+    for a, b, label in arcs(n):
         color = 'blue' if label == 0 else 'red'
         attrs = f'label="{label}", color="{color}"'
         if (a, b) in bold:

@@ -165,8 +165,7 @@ def psi_decompose(n, visit_order=None, seed=None):
         cycle = [v]
         visited[v] = 1
         _grow(cycle, visited, n, prefer_double=False)
-        d, c = successors(cycle[-1], n)
-        if cycle[0] not in (d, c):
+        if cycle[0] not in successors(cycle[-1], n):
             raise RuntimeError('internal error: greedy cycle failed to close')
         cycles.append(tuple(cycle))
     return PsiDecomposition(n, cycles, order=order, seed=seed)

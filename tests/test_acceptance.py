@@ -336,12 +336,11 @@ def test_criterion_10_structural_invariants():
     x_plus_1 = gf2poly.parse('x+1')
     for n in range(3, 11):
         size = (1 << n) - 1
-        graph = gamma.build(n)
         outs = [0] * (size + 1)
         ins = [0] * (size + 1)
         arcs = 0
         loops = []
-        for a, b, label in graph.arcs():
+        for a, b, label in gamma.arcs(n):
             outs[a] += 1
             ins[b] += 1
             arcs += 1
@@ -361,10 +360,10 @@ def test_criterion_10_structural_invariants():
         # 3A = 2^(n+1) - 1 (wrap, n odd): one loop at every order.
         expected = (((1 << n) - 1) // 3 if n % 2 == 0
                     else ((1 << (n + 1)) - 1) // 3)
-        found = graph.loop_vertex()
+        found = gamma.loop_vertex(n)
         if loops != [(expected, 1)] or found != expected:
             failures.append(f'n={n}: self-loops (vertex, label) {loops} '
-                            f'and loop_vertex() {found}, but exactly one '
+                            f'and loop_vertex(n) {found}, but exactly one '
                             f'complement loop at vertex {expected} is '
                             f'expected')
         full = gf2poly.build_F(n)

@@ -48,6 +48,11 @@ def test_usage_errors_exit_2(capsys):
                      '--sequence', '111']) == 2
     assert cli.main(['verify', '--n', '4']) == 2
     assert capsys.readouterr().out == ''
+    # The order is checked as the arcs are listed, before any output.
+    assert cli.main(['graph', '--n', '2']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: order n must be an integer >= 3\n'
     for text in ('(0,0,+1,1)', '(0_1,0)', '(-0,1)', '\u0661\u0660'):
         assert cli.main(['verify', '--sequence', text]) == 2
         captured = capsys.readouterr()
@@ -254,16 +259,15 @@ def test_join_nonpositive_limit_prints_header_and_footer(capsys, monkeypatch,
     assert calls == {}
 
 
-def test_join_builds_one_table_per_decomposition(capsys, monkeypatch):
-    # One vertex table and one pair graph, whether 1 row or 7744.
+def test_join_table_count_does_not_grow_with_rows(capsys, monkeypatch):
+    # One table for the pair graph and one for the merges, whether the
+    # run prints 1 row or 7744.
     for extra in (['--limit', '1'], []):
-        # Equal decompositions share the cache; start each run empty.
-        joiner._plan.cache_clear()
         calls = {}
         for name in ('_table', 'complement_pairs'):
             _count_calls(monkeypatch, joiner, name, calls)
         assert cli.main(['join', '--n', '6', '--seed', '208'] + extra) == 0
-        assert calls == {'_table': 1, 'complement_pairs': 1}
+        assert calls == {'_table': 2, 'complement_pairs': 1}
         monkeypatch.undo()
     capsys.readouterr()
 
@@ -489,6 +493,18 @@ def test_verify_sequence_failures(capsys):
     capsys.readouterr()
     assert cli.main(['verify', '--sequence', '111']) == 4
     assert cli.main(['verify', '--sequence', '10100', '--n', '3']) == 4
+
+
+@pytest.mark.parametrize('argv', ['--sequence 011 --n 1',
+                                  '--sequence 0110 --n 0',
+                                  '--sequence 0110 --n -1',
+                                  '--sequence 0'])
+def test_verify_order_below_2_is_a_usage_error(capsys, argv):
+    # Whatever the period, a window order below 2 is refused.
+    assert cli.main(['verify'] + argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: window order must be at least 2\n'
 
 
 def test_tables_span_support(capsys):

@@ -12,7 +12,7 @@ from mdbs.gamma import HamCycle
 
 def test_successors_known_values():
     assert gamma.successors(9, 4) == (2, 13)
-    assert gamma.successors(8, 4) == (None, 15)
+    assert gamma.successors(8, 4) == (0, 15)
     assert gamma.successors(5, 4) == (10, 5)
     assert gamma.successors(5, 3) == (2, 5)
     assert gamma.successors(7, 3) == (6, 1)
@@ -25,26 +25,22 @@ def test_successors_rejects_out_of_range():
         gamma.successors(16, 4)
 
 
-def test_build_counts():
-    g4 = gamma.build(4)
-    assert len(g4.vertices) == 15
-    assert sum(1 for _ in g4.arcs()) == 29 == 2 * len(g4.vertices) - 1
-    assert repr(g4) == 'GammaGraph(n=4)'
-    g3 = gamma.build(3)
-    assert len(g3.vertices) == 7
-    assert sum(1 for _ in g3.arcs()) == 13 == 2 * len(g3.vertices) - 1
+def test_arc_counts():
+    assert sum(1 for _ in gamma.arcs(4)) == 29 == 2 * 15 - 1
+    assert sum(1 for _ in gamma.arcs(3)) == 13 == 2 * 7 - 1
     with pytest.raises(ValueError):
-        gamma.build(2)
+        list(gamma.arcs(2))
+    with pytest.raises(ValueError):
+        gamma.loop_vertex(2)
 
 
 def test_every_order_has_exactly_one_self_loop():
     for n, vertex in ((3, 5), (4, 5), (5, 21), (6, 21), (7, 85)):
-        assert gamma.build(n).loop_vertex() == vertex
+        assert gamma.loop_vertex(n) == vertex
     # The closed form against a scan of every arc.
     for n in range(3, 17):
-        graph = gamma.build(n)
-        loops = [a for a, b, _ in graph.arcs() if a == b]
-        assert loops == [graph.loop_vertex()]
+        loops = [a for a, b, _ in gamma.arcs(n) if a == b]
+        assert loops == [gamma.loop_vertex(n)]
         d, c = gamma.successors(loops[0], n)
         assert c == loops[0] and d != loops[0]
 
@@ -54,34 +50,33 @@ def test_arc_label_is_low_bit_of_target():
         mask = (1 << n) - 1
         for a in range(1, mask + 1):
             d, c = gamma.successors(a, n)
-            assert gamma._targets(a, mask) == (d or 0, c)
-        assert all(label == b & 1 for _, b, label in gamma.build(n).arcs())
-        assert list(gamma.build(n).arcs()) == [
+            assert gamma._targets(a, mask) == (d, c)
+        assert all(label == b & 1 for _, b, label in gamma.arcs(n))
+        assert list(gamma.arcs(n)) == [
             (a, b, label) for a in range(1, mask + 1)
             for label, b in enumerate(gamma.successors(a, n))
-            if b is not None]
+            if b]
 
 
 def test_degree_profile():
     for n in range(3, 13):
-        graph = gamma.build(n)
-        out = {v: 0 for v in graph.vertices}
-        indeg = {v: 0 for v in graph.vertices}
-        for a, b, _ in graph.arcs():
+        vertices = range(1, 1 << n)
+        out = {v: 0 for v in vertices}
+        indeg = {v: 0 for v in vertices}
+        for a, b, _ in gamma.arcs(n):
             out[a] += 1
             indeg[b] += 1
         size = (1 << n) - 1
         half = 1 << (n - 1)
-        for v in graph.vertices:
+        for v in vertices:
             assert out[v] == (1 if v == half else 2)
             assert indeg[v] == (1 if v == size else 2)
 
 
 def test_all_ones_vertex_reached_only_from_half():
     for n in (3, 4, 5, 6):
-        graph = gamma.build(n)
         size = (1 << n) - 1
-        sources = [a for a, b, _ in graph.arcs() if b == size]
+        sources = [a for a, b, _ in gamma.arcs(n) if b == size]
         assert sources == [1 << (n - 1)]
 
 
@@ -298,13 +293,12 @@ def test_enumeration_limit_is_a_prefix_of_the_reference(limit):
 def test_enumeration_depth_is_not_bounded_by_recursion():
     # A cycle at order 10 is 1023 vertices deep in the search.
     cycle = next(gamma.enumerate_hamiltonian(10))
-    assert len(cycle) == 1023
+    assert len(cycle.vertices) == 1023
     assert cycle.vertices[0] == 1023
 
 
 def test_dot_export_content():
-    graph = gamma.build(4)
-    text = gamma.dot_export(graph)
+    text = gamma.dot_export(4)
     assert text.startswith('digraph gamma_4 {')
     assert '  8 -> 15 [label="1", color="red"];' in text
     assert '  9 -> 2 [label="0", color="blue"];' in text
@@ -313,9 +307,8 @@ def test_dot_export_content():
 
 
 def test_dot_export_highlight():
-    graph = gamma.build(4)
     cycle = HamCycle((1, 13, 5, 10, 11, 9, 2, 4, 7, 14, 3, 6, 12, 8, 15), 4)
-    text = gamma.dot_export(graph, highlight=cycle)
+    text = gamma.dot_export(4, highlight=cycle.vertices)
     assert text.count('style="bold"') == 15
 
 

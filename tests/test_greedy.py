@@ -139,7 +139,7 @@ def test_psi_steps_follow_arcs_and_preference():
                         assert c is None or c in used
                     used.add(nxt)
                 else:
-                    assert d is None or d in used
+                    assert not d or d in used
                     assert c is None or c in used
 
 
