@@ -11,26 +11,11 @@ int with bit i the coefficient of x^i, and the functions of gf2poly
 are the one polynomial API; a sequence period is a BitSequence, an int
 plus its length, and seqkit.parse_sequence reads one from text.
 
-Modules: gf2poly (polynomial arithmetic), seqkit (sequence tooling and
+Modules, imported one by one (the package holds only __version__):
+gf2poly (polynomial arithmetic), seqkit (sequence tooling and
 Berlekamp-Massey), gamma (the digraph), greedy (preference walks and
 decompositions), joiner (cycle joining and spanning-tree counts),
 canonical (generators and minimal polynomials), cli (command line).
 """
 
-from .seqkit import BitSequence
-from .gamma import HamCycle
-from .greedy import PsiDecomposition
-from .joiner import JoinGraph, JoinMatrix
-from .canonical import MinPolyReport
-
 __version__ = '0.1.0'
-
-__all__ = [
-    'BitSequence',
-    'HamCycle',
-    'JoinGraph',
-    'JoinMatrix',
-    'MinPolyReport',
-    'PsiDecomposition',
-    '__version__',
-]

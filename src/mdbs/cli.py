@@ -182,6 +182,7 @@ def cmd_greedy(cfg):
     if cfg.all_inits:
         fmt = cfg.format or 'jsonl'
         names, alg = None, json.dumps(cfg.alg)
+        gamma._check_order(cfg.n)
         for v in range(1, (1 << cfg.n)):
             path = walker(cfg.n, v)
             ham = greedy.is_hamiltonian(path, cfg.n)
@@ -363,6 +364,7 @@ def cmd_tables(cfg):
             writer.writerow(row)
         return EXIT_OK
     if cfg.which == 3:
+        gamma._check_order(cfg.n)
         for alg, walker in (('complement', greedy.prefer_complement),
                             ('double', greedy.modified_prefer_double)):
             groups = {}

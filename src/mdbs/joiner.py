@@ -8,7 +8,7 @@ of a decomposition has one node per cycle and one edge per cross-cycle
 complementary pair; every spanning tree of that graph yields one joined
 Hamiltonian cycle, and the number of spanning trees is counted exactly
 by the classic matrix-tree cofactor (computed with fraction-free
-integer elimination).
+integer elimination, which needs no row swaps on a Laplacian minor).
 
 Different spanning trees give different cycles.  Different pairs touch
 disjoint arcs, so the swaps commute: a tree's cycle is the
@@ -38,7 +38,6 @@ class JoinGraph(NamedTuple):
     of cycle i and vertex s of cycle k satisfy r + s = 2^n - 1.
     """
 
-    n: int
     node_count: int
     edges: Tuple[Tuple[int, int, int, int], ...]
 
@@ -54,34 +53,30 @@ class JoinMatrix(NamedTuple):
     entries: Tuple[Tuple[int, ...], ...]
 
     def cofactor(self):
-        """Determinant of the matrix with row 0 and column 0 removed."""
+        """Determinant of the PSD minor without row 0 and column 0."""
         minor = [list(row[1:]) for row in self.entries[1:]]
         return _det(minor)
 
 
 def _det(m):
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    """Exact integer determinant by fraction-free (Bareiss) elimination.
+
+    m is overwritten and must be positive semidefinite (PSD), as a
+    Laplacian minor is: pivot k is the leading principal minor of order
+    k + 1, and a PSD matrix with a zero one is singular, so no row swaps.
+    """
     size = len(m)
     if size == 0:
         return 1
-    m = [row[:] for row in m]
-    sign = 1
     denom = 1
     for k in range(size - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // denom
-            m[i][k] = 0
         denom = m[k][k]
-    return sign * m[-1][-1]
+    return m[-1][-1]
 
 
 def _table(dec):
@@ -100,7 +95,7 @@ def _plan(dec):
     edges = sorted(((i, owner[size - r], r, size - r)
                     for i, c in enumerate(dec.cycles, 1) for r in c
                     if owner[size - r] > i), key=lambda e: e[:2])
-    return succ, pred, JoinGraph(dec.n, len(dec.cycles), tuple(edges))
+    return succ, pred, JoinGraph(len(dec.cycles), tuple(edges))
 
 
 def complement_pairs(dec):

@@ -572,6 +572,32 @@ def test_order_too_large_to_index_exits_2(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize('argv', [
+    'greedy --n 0 --all', 'greedy --n -1 --all',
+    'tables --n 0 --which 3', 'tables --n -1 --which 3'])
+def test_sweep_checks_the_order_first(capsys, argv):
+    # Both sweeps loop over range(1, 2^n), which is empty at n = 0.
+    assert cli.main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: order n must be an integer >= 2\n'
+
+
+@pytest.mark.parametrize('module, loaded', [
+    ('gf2poly', {'gf2poly'}),
+    ('seqkit', {'seqkit', 'gf2poly'}),
+    ('gamma', {'gamma', 'seqkit', 'gf2poly'})])
+def test_import_loads_only_what_the_module_imports(module, loaded):
+    env = dict(os.environ)
+    env['PYTHONPATH'] = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (f'import sys, mdbs.{module}; print(" ".join(sorted('
+            f'm for m in sys.modules if m.split(".")[0] == "mdbs")))')
+    proc = subprocess.run([sys.executable, '-c', code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == sorted(
+        {'mdbs'} | {f'mdbs.{m}' for m in loaded})
+
+
 def test_memory_error_exits_2(capsys, monkeypatch):
     def exhausted(cfg):
         raise MemoryError

@@ -93,15 +93,20 @@ def test_join_matrix_shape_properties():
 
 
 def test_best_count_simple_graphs():
-    assert joiner.best_count(JoinGraph(4, 1, [])) == 1
+    assert joiner.best_count(JoinGraph(1, [])) == 1
     for k in range(1, 6):
         edges = [(1, 2, r, 15 - r) for r in range(1, k + 1)]
-        graph = JoinGraph(4, 2, edges)
+        graph = JoinGraph(2, edges)
         assert joiner.best_count(graph) == k
         assert len(joiner.spanning_trees(graph)) == k
-    disconnected = JoinGraph(4, 3, [(1, 2, 7, 8)])
+    disconnected = JoinGraph(3, [(1, 2, 7, 8)])
     assert joiner.best_count(disconnected) == 0
     assert joiner.spanning_trees(disconnected) == []
+    # Node 2 is isolated, so the cofactor's first pivot is already 0.
+    isolated = JoinGraph(3, [(1, 3, 7, 8)])
+    assert joiner.join_matrix(isolated).entries[1][1] == 0
+    assert joiner.best_count(isolated) == 0
+    assert joiner.spanning_trees(isolated) == []
 
 
 def test_best_count_matches_brute_force():
@@ -118,6 +123,20 @@ def test_best_count_matches_brute_force():
         assert joiner.best_count(graph) == expected
         assert len(joiner.spanning_trees(graph)) == expected
         checked += 1
+    # Random multigraphs with parallel edges, some of them disconnected,
+    # reach a zero pivot at any position of the cofactor.
+    disconnected = 0
+    for _ in range(300):
+        nodes = rng.randint(1, 8)
+        ends = [tuple(sorted(rng.sample(range(1, nodes + 1), 2)))
+                for _ in range(rng.randint(0, 14))] if nodes > 1 else []
+        graph = JoinGraph(nodes, [(i, k, r, 1023 - r)
+                                  for r, (i, k) in enumerate(ends, 1)])
+        expected = ref.spanning_tree_count(nodes, ends)
+        assert joiner.best_count(graph) == expected
+        assert len(joiner.spanning_trees(graph)) == expected
+        disconnected += expected == 0
+    assert disconnected > 50
 
 
 def _ends(graph):
@@ -143,8 +162,8 @@ def test_spanning_trees_match_brute_force_in_order():
 
 def test_spanning_trees_small_multigraphs_match_brute_force():
     def graph(node_count, ends):
-        return JoinGraph(10, node_count, [(i, k, r, 1023 - r)
-                                          for r, (i, k) in enumerate(ends, 1)])
+        return JoinGraph(node_count, [(i, k, r, 1023 - r)
+                                      for r, (i, k) in enumerate(ends, 1)])
 
     parallel = graph(3, [(1, 2), (1, 2), (2, 3), (1, 3), (2, 3), (1, 2)])
     disconnected = graph(4, [(1, 2), (1, 2), (3, 4), (1, 2)])
@@ -166,7 +185,7 @@ def test_spanning_trees_small_multigraphs_match_brute_force():
 
 def test_spanning_trees_has_no_edge_ceiling():
     # The library lists any graph; the 24-edge ceiling is the CLI's.
-    graph = JoinGraph(10, 2, [(1, 2, r, 1023 - r) for r in range(1, 26)])
+    graph = JoinGraph(2, [(1, 2, r, 1023 - r) for r in range(1, 26)])
     assert joiner.spanning_trees(graph) == [(i,) for i in range(25)]
 
 
