@@ -77,24 +77,19 @@ def parse_args(argv=None):
                        help='walk from every initial vertex')
     p.add_argument('--format', choices=['text', 'jsonl'], default=None)
 
-    p = sub.add_parser('decompose',
-                       help='greedy cycle decomposition of the vertex set')
-    p.add_argument('--n', type=int, required=True)
-    visit = p.add_mutually_exclusive_group()
-    visit.add_argument('--seed', default=None,
-                       help='shuffle seed for the visit order')
-    visit.add_argument('--order', type=_csv_ints, default=None,
-                       help='visit order prefix, comma-separated')
-    p.add_argument('--format', choices=['jsonl', 'text'], default='jsonl')
-
-    p = sub.add_parser('join',
-                       help='join a decomposition along every spanning tree')
-    p.add_argument('--n', type=int, required=True)
-    visit = p.add_mutually_exclusive_group()
-    visit.add_argument('--seed', default=None)
-    visit.add_argument('--order', type=_csv_ints, default=None)
-    p.add_argument('--limit', type=int, default=None)
-    p.add_argument('--format', choices=['jsonl', 'text'], default='jsonl')
+    for name, text in (
+            ('decompose', 'greedy cycle decomposition of the vertex set'),
+            ('join', 'join a decomposition along every spanning tree')):
+        p = sub.add_parser(name, help=text)
+        p.add_argument('--n', type=int, required=True)
+        visit = p.add_mutually_exclusive_group()
+        visit.add_argument('--seed', default=None,
+                           help='shuffle seed for the visit order')
+        visit.add_argument('--order', type=_csv_ints, default=None,
+                           help='visit order prefix, comma-separated')
+        p.add_argument('--format', choices=['jsonl', 'text'], default='jsonl')
+        if name == 'join':
+            p.add_argument('--limit', type=int, default=None)
 
     p = sub.add_parser('enumerate',
                        help='all Hamiltonian cycles with full reports')
@@ -103,22 +98,18 @@ def parse_args(argv=None):
     p.add_argument('--override-guard', action='store_true',
                    dest='override_guard')
 
-    p = sub.add_parser('minpoly',
-                       help='minimal-polynomial report of a cycle or sequence')
-    p.add_argument('--n', type=int, default=None)
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument('--cycle', default=None,
-                       help="comma-separated vertices ('-' reads stdin)")
-    given.add_argument('--sequence', default=None,
-                       help="bit string or (1,0,...) tuple ('-' reads stdin)")
-    p.add_argument('--format', choices=['text', 'jsonl'], default='text')
-
-    p = sub.add_parser('verify', help='check a sequence or cycle')
-    p.add_argument('--n', type=int, default=None)
-    given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument('--cycle', default=None)
-    given.add_argument('--sequence', default=None)
-    p.add_argument('--format', choices=['text', 'jsonl'], default='text')
+    for name, text in (
+            ('minpoly', 'minimal-polynomial report of a cycle or sequence'),
+            ('verify', 'check a sequence or cycle')):
+        p = sub.add_parser(name, help=text)
+        p.add_argument('--n', type=int, default=None)
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument('--cycle', default=None,
+                           help="comma-separated vertices ('-' reads stdin)")
+        given.add_argument('--sequence', default=None,
+                           help="bit string or (1,0,...) tuple "
+                                "('-' reads stdin)")
+        p.add_argument('--format', choices=['text', 'jsonl'], default='text')
 
     p = sub.add_parser('tables', help='reproduce the reference tables')
     p.add_argument('--n', type=int, required=True)
@@ -168,7 +159,8 @@ def _print_record(cfg, record, text_keys=None):
 
 def _take(stream, limit):
     """The first `limit` items of stream: all when None, none below 1."""
-    return stream if limit is None else itertools.islice(stream, max(limit, 0))
+    return itertools.islice(stream, None if limit is None
+                            else min(max(limit, 0), sys.maxsize))
 
 
 def cmd_graph(cfg):
@@ -273,21 +265,29 @@ def cmd_enumerate(cfg):
     return EXIT_OK
 
 
+def _order(cfg, length):
+    """--n, else the n with 2^n - 1 <= length < 2^(n+1) - 1; checked >= 2."""
+    n = (length + 1).bit_length() - 1 if cfg.n is None else cfg.n
+    gamma._check_order(n)
+    return n
+
+
 def _cycle_from_config(cfg, failure):
     """The HamCycle named by --cycle or --sequence (argparse allows one).
 
-    Malformed text raises out of the parse, and main exits 2.  Text
-    that is well-formed but names no Hamiltonian cycle of order --n
-    (both builders check the length or period against a given --n)
-    prints `failure` and the reason to stderr and returns None.
+    Malformed text or an order below 2 raises, and main exits 2.  Text
+    that is well-formed but names no Hamiltonian cycle of the order
+    from _order prints `failure` and the reason to stderr and returns
+    None.
     """
     if cfg.cycle is not None:
         given, build = _csv_ints(_read_arg(cfg.cycle)), gamma.HamCycle
     else:
         given = seqkit.parse_sequence(_read_arg(cfg.sequence))
         build = gamma.cycle_from_sequence
+    n = _order(cfg, len(given))
     try:
-        return build(given, cfg.n)
+        return build(given, n)
     except ValueError as exc:
         print(f'{failure}: {exc}', file=sys.stderr)
         return None
@@ -317,15 +317,9 @@ def cmd_verify(cfg):
                   'bm_matches': report.bm_check == report.f, 'ok': ok}
     else:
         seq = seqkit.parse_sequence(_read_arg(cfg.sequence))
-        n = cfg.n
-        if n is None:
-            period = seq.period
-            if (period + 1) & period == 0:  # 2^k - 1
-                n = (period + 1).bit_length() - 1
-            elif period & (period - 1) == 0:
-                n = period.bit_length() - 1
-            else:
-                return _usage('cannot infer the order; pass --n')
+        n = _order(cfg, seq.period)
+        if cfg.n is None and seq.period not in ((1 << n) - 1, 1 << n):
+            return _usage('cannot infer the order; pass --n')
         debruijn = seqkit.is_de_bruijn(seq, n)
         mdb = seqkit.is_modified_de_bruijn(seq, n)
         f = seqkit.berlekamp_massey(seq)

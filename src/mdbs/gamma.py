@@ -98,19 +98,17 @@ def _is_closed_walk(verts, size):
 class HamCycle:
     """A Hamiltonian cycle, stored in the rotation it was given.
 
-    Construction validates length, distinctness, and that every
-    consecutive pair (including the wrap-around) is an arc.  Equality
+    Construction validates the order n, length, distinctness, and that
+    every consecutive pair (including the wrap-around) is an arc.  Equality
     and hashing are rotation-invariant: each call rotates the vertices
     to start at the all-ones vertex 2^n - 1.
     """
 
     __slots__ = ('vertices', 'n')
 
-    def __init__(self, vertices, n=None):
+    def __init__(self, vertices, n):
         vertices = tuple(vertices)
-        if n is None:
-            n = (len(vertices) + 1).bit_length() - 1
-        _check_order(n, minimum=2)
+        _check_order(n)
         size = (1 << n) - 1
         if len(vertices) != size:
             raise ValueError(
@@ -156,15 +154,13 @@ def cycle_to_sequence(cycle):
     return BitSequence(int(labels[1:] + labels[0], 2), len(verts))
 
 
-def cycle_from_sequence(s, n=None):
-    """Rebuild the Hamiltonian cycle whose arc labels are s.
+def cycle_from_sequence(s, n):
+    """Rebuild the Hamiltonian cycle of order n whose arc labels are s.
 
     Inverse of cycle_to_sequence, by one walk that takes the arc labeled
     s[i] out of vertex i.  Each step doubles the vertex, so walking the
     last n labels from 0 first lands on the vertex that emits s[0].
     """
-    if n is None:
-        n = (s.period + 1).bit_length() - 1
     _check_order(n)
     size = (1 << n) - 1
     if s.period != size:

@@ -163,32 +163,16 @@ def expand_series(g, f, count):
     return value
 
 
-def _mobius(n):
-    """Moebius function of a positive integer."""
-    mu = 1
-    c = 2
-    while c * c <= n:
-        if n % c == 0:
-            n //= c
-            if n % c == 0:
-                return 0
-            mu = -mu
-        c += 1 if c == 2 else 2
-    if n > 1:
-        mu = -mu
-    return mu
-
-
 def irreducible_count(n):
     """Number of irreducible binary polynomials of degree n.
 
-    The classical count (1/n) * sum over j | n of mu(j) * 2^(n/j).
+    x^(2^n) - x is the product of the irreducibles whose degree d
+    divides n, so 2^n is the sum of d * N_d over those d.
     """
     if n < 1:
         raise ValueError('irreducible_count requires n >= 1')
-    total = sum(_mobius(j) * (1 << (n // j)) for j in range(1, n + 1)
-                if n % j == 0)
-    return total // n
+    return ((1 << n) - sum(d * irreducible_count(d) for d in range(1, n)
+                           if n % d == 0)) // n
 
 
 def parse(text):

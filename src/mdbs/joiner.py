@@ -139,7 +139,7 @@ def spanning_trees(graph):
     trees, chosen = [], []
 
     def extend(label, parts, start):
-        if parts == 1:
+        if parts <= 1:
             trees.append(tuple(chosen))
             return
         for idx in range(start, len(ends)):

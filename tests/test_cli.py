@@ -207,6 +207,17 @@ def test_join_limit_caps_rows_not_count(capsys):
     assert json.loads(lines[-1]) == {'distinct_joined_cycles': 8}
 
 
+def test_limit_above_sys_maxsize_takes_every_row(capsys):
+    huge = str(sys.maxsize * 10**3)
+    assert cli.main(['enumerate', '--n', '3', '--limit', huge]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert cli.main(['join', '--n', '4', '--order', '6,4,14',
+                     '--limit', huge, '--format', 'text']) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert lines[-1] == 'distinct joined cycles: 8'
+
+
 def _count_calls(monkeypatch, module, name, calls):
     original = getattr(module, name)
 
@@ -495,16 +506,48 @@ def test_verify_sequence_failures(capsys):
     assert cli.main(['verify', '--sequence', '10100', '--n', '3']) == 4
 
 
+def _order_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: order n must be an integer >= 2\n'
+
+
 @pytest.mark.parametrize('argv', ['--sequence 011 --n 1',
                                   '--sequence 0110 --n 0',
                                   '--sequence 0110 --n -1',
-                                  '--sequence 0'])
+                                  '--sequence 0',
+                                  '--cycle 1,2,3 --n 0',
+                                  '--cycle 1'])
 def test_verify_order_below_2_is_a_usage_error(capsys, argv):
-    # Whatever the period, a window order below 2 is refused.
-    assert cli.main(['verify'] + argv.split()) == 2
+    # Whatever the period or length, an order below 2, given or
+    # inferred, is refused as every other subcommand refuses it.
+    _order_usage_error(capsys, ['verify'] + argv.split())
+
+
+@pytest.mark.parametrize('argv', ['--cycle 1,2,3 --n 1',
+                                  '--sequence 011 --n -1',
+                                  '--sequence 0'])
+def test_minpoly_order_below_2_is_a_usage_error(capsys, argv):
+    _order_usage_error(capsys, ['minpoly'] + argv.split())
+
+
+@pytest.mark.parametrize('sequence', ['10100', '101000', '101000000'])
+def test_verify_sequence_of_no_window_period_needs_n(capsys, sequence):
+    # Periods 5, 6 and 9 are neither 2^n - 1 nor 2^n.
+    assert cli.main(['verify', '--sequence', sequence]) == 2
     captured = capsys.readouterr()
     assert captured.out == ''
-    assert captured.err == 'error: window order must be at least 2\n'
+    assert captured.err == 'error: cannot infer the order; pass --n\n'
+
+
+@pytest.mark.parametrize('sequence', ['0010111', '00010111'])
+def test_verify_sequence_infers_order_from_period(capsys, sequence):
+    assert cli.main(['verify', '--sequence', sequence,
+                     '--format', 'jsonl']) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record['n'], record['period'], record['ok']) \
+        == (3, len(sequence), True)
 
 
 def test_tables_span_support(capsys):

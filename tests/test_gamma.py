@@ -232,7 +232,6 @@ def test_cycle_from_sequence_roundtrip():
     for cycle in gamma.enumerate_hamiltonian(4):
         s = gamma.cycle_to_sequence(cycle)
         assert gamma.cycle_from_sequence(s, 4) == cycle
-        assert gamma.cycle_from_sequence(s) == cycle
     rng = random.Random(302)
     cycles5 = list(itertools.islice(gamma.enumerate_hamiltonian(5), 64))
     for cycle in rng.sample(cycles5, 16):

@@ -194,8 +194,10 @@ def test_expand_series_rejects_bad_inputs():
 def test_irreducible_count_known_values():
     assert gf2poly.irreducible_count(1) == 2
     assert gf2poly.irreducible_count(4) == 3
-    assert [gf2poly.irreducible_count(n) for n in range(1, 7)] \
-        == [2, 1, 2, 3, 6, 9]
+    # OEIS A001037.
+    assert [gf2poly.irreducible_count(n) for n in range(1, 21)] \
+        == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182,
+            4080, 7710, 14532, 27594, 52377]
 
 
 def test_irreducible_count_matches_exhaustive_scan():

@@ -94,6 +94,9 @@ def test_join_matrix_shape_properties():
 
 def test_best_count_simple_graphs():
     assert joiner.best_count(JoinGraph(1, [])) == 1
+    # No nodes: one empty tree, as the empty minor's determinant says.
+    assert joiner.best_count(JoinGraph(0, ())) == 1
+    assert joiner.spanning_trees(JoinGraph(0, ())) == [()]
     for k in range(1, 6):
         edges = [(1, 2, r, 15 - r) for r in range(1, k + 1)]
         graph = JoinGraph(2, edges)
