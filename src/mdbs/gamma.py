@@ -104,6 +104,7 @@ class HamCycle:
     to start at the all-ones vertex 2^n - 1.
     """
 
+    # Not a NamedTuple: tuple.__ne__ would ignore rotation and len() be 2.
     __slots__ = ('vertices', 'n')
 
     def __init__(self, vertices, n):
@@ -128,6 +129,10 @@ class HamCycle:
 
     def __setattr__(self, name, v):
         raise AttributeError('HamCycle is immutable')
+
+    def __reduce__(self):
+        """Pickles and copies are rebuilt through the checks."""
+        return HamCycle, (self.vertices, self.n)
 
     def _from_top(self):
         """The vertices rotated to start at the all-ones vertex."""
@@ -236,13 +241,16 @@ def dot_export(n, highlight=None):
     Double arcs come out as blue with label 0, complement arcs red
     with label 1.  `highlight` is an ordered vertex sequence, such as a
     HamCycle's `.vertices`; its arcs (including the wrap-around) get
-    style="bold".  The whole text is built before it is returned, so
-    an order below 3 raises before anything is written.
+    style="bold", and a vertex outside the graph raises.  The whole
+    text is built before it is returned, so an order below 3 raises
+    before anything is written.
     """
+    _check_order(n, minimum=3)
     bold = set()
     if highlight is not None:
         verts = tuple(highlight)
         for i, a in enumerate(verts):
+            _check_vertex(a, n)
             bold.add((a, verts[(i + 1) % len(verts)]))
     lines = [f'digraph gamma_{n} {{']
     for a, b, label in arcs(n):

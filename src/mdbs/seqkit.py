@@ -1,7 +1,10 @@
 """Binary sequence utilities for periodic and window-complete sequences.
 
 A BitSequence is one period of a periodic binary sequence, packed into
-an int.  The tools here recognize de Bruijn sequences of order n
+an int: a (value, period) NamedTuple that equals, hashes and unpacks
+like the plain tuple, and whose len() is the period.
+
+The tools here recognize de Bruijn sequences of order n
 (period 2^n, every length-n window exactly once) and their modified
 counterparts (period 2^n - 1, every nonzero window exactly once),
 convert between the two by removing or restoring one zero inside the
@@ -14,37 +17,29 @@ in the sense that s_(k+m) = sum(f_i * s_(k+i)), so deg(f) is the linear
 complexity and f(0) = 1 for any periodic sequence.
 """
 
+from typing import NamedTuple
+
 from . import gf2poly
 
 
-class BitSequence:
+class BitSequence(NamedTuple('BitSequence', [('value', int),
+                                              ('period', int)])):
     """One period of a binary sequence, packed into an int.
 
     `value` holds the first bit most significant and `period` keeps any
     leading zeros; the constructor checks that value fits in period >= 1
-    bits.  Equality and the hash follow (value, period)."""
+    bits, but `_replace` and `_make` skip the check.  len() is the period.
+    """
 
-    __slots__ = ('value', 'period')
+    __slots__ = ()
 
-    def __init__(self, value, period):
+    def __new__(cls, value, period):
         if period < 1 or value < 0 or value.bit_length() > period:
             raise ValueError(f'value not in 0 .. 2^{period} - 1 or period < 1')
-        object.__setattr__(self, 'value', value)
-        object.__setattr__(self, 'period', period)
-
-    def __setattr__(self, name, v):
-        raise AttributeError('BitSequence is immutable')
+        return super().__new__(cls, value, period)
 
     def __len__(self):
         return self.period
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.period) == (other.value, other.period)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.period))
 
     def to_text(self):
         """Render as '0101...', first bit first."""

@@ -79,6 +79,30 @@ def test_canonical_generator_regenerates_its_cycle():
         assert HamCycle(ref.ref_walk_of_generator(c_h, 5), 5) == cycle
 
 
+def _regenerated(cycle):
+    c_h = canonical.canonical_generator(cycle)
+    return HamCycle(ref.ref_walk_of_generator(c_h, cycle.n), cycle.n)
+
+
+def test_generator_regenerates_every_tree_join_at_order_6():
+    """Every tree's cycle of each join graph of at most 24 edges."""
+    joined = 0
+    for seed in (*range(32), 208):
+        dec = greedy.psi_decompose(6, seed=seed)
+        if len(joiner.complement_pairs(dec).edges) <= 24:
+            for _, cycle in joiner.enumerate_joined_cycles(dec):
+                assert _regenerated(cycle) == cycle
+                joined += 1
+    assert joined > 7744
+
+
+@pytest.mark.parametrize('n', range(6, 13))
+def test_generator_regenerates_join_all(n):
+    for seed in range(4):
+        cycle = joiner.join_all(greedy.psi_decompose(n, seed=seed))
+        assert _regenerated(cycle) == cycle
+
+
 def test_canonical_generator_matches_reference_recovery():
     cycles = [HamCycle(v, 2) for v in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
     for n in (3, 4, 5):

@@ -106,6 +106,17 @@ def test_graph_highlight_bolds_cycle_arcs(capsys):
     assert out.count('style="bold"') == 15
 
 
+def test_graph_highlight_outside_the_graph_exits_2(capsys):
+    for argv, err in (('graph --n 3 --highlight 1,99',
+                       'error: vertex 99 outside 1..7\n'),
+                      ('graph --n 3 --highlight 0,1',
+                       'error: vertex 0 outside 1..7\n'),
+                      ('graph --n 2 --highlight 1,99',
+                       'error: order n must be an integer >= 3\n')):
+        assert cli.main(argv.split()) == 2
+        assert capsys.readouterr() == ('', err)
+
+
 def test_greedy_text_single_walk(capsys):
     assert cli.main(['greedy', '--n', '4', '--v-init', '1']) == 0
     captured = capsys.readouterr()

@@ -1,6 +1,8 @@
 """Unit tests for the doubling/complement digraph and its cycles."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -168,6 +170,27 @@ def test_ham_cycle_rotation_invariant_equality():
     assert a == c and hash(a) == hash(c)
     # Rotations of one cycle are equal; the other 15 cycles are not.
     assert sum(d == a for d in gamma.enumerate_hamiltonian(4)) == 1
+
+
+def test_ham_cycle_rotations_are_one_value():
+    for cycle in gamma.enumerate_hamiltonian(4):
+        verts = cycle.vertices
+        for k in range(len(verts)):
+            turned = HamCycle(verts[k:] + verts[:k], 4)
+            assert turned == cycle
+            assert not turned != cycle
+            assert hash(turned) == hash(cycle)
+        assert cycle != (verts, 4) and (verts, 4) != cycle
+
+
+@pytest.mark.parametrize('value', (
+    HamCycle(FINAL, 4), gamma.cycle_to_sequence(HamCycle(FINAL, 4))),
+    ids=('HamCycle', 'BitSequence'))
+def test_pickle_and_copy_keep_the_value(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                 copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
 
 
 def test_walk_of_generator_known_walks():

@@ -3,9 +3,14 @@
 Degrees reach 1024, so operands span many machine words; the word
 boundaries 63/64/65 and both parities of the bit length (which the
 derivative's even-position mask depends on) are always among the
-drawn degrees.
+drawn degrees.  At degree 2^16 - 2, the degree of F at n = 16, the
+O(d^2) oracles are too slow, so division and gcd are held to the
+identities that define them instead.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference as ref
@@ -78,3 +83,35 @@ def test_symbolic_text_matches_termwise(batch):
     # before and after it grows.
     for a in batch:
         assert gf2poly.to_text(a) == ref.ref_to_text(a)
+
+
+BIG = (1 << 16) - 2
+
+
+def _exact(rng, d):
+    """A random polynomial of degree exactly d."""
+    return (1 << d) | rng.getrandbits(d)
+
+
+@pytest.mark.parametrize('seed', range(3))
+def test_div_rem_identity_at_degree_2_16_minus_2(seed):
+    rng = random.Random(seed)
+    a, b = _exact(rng, BIG), _exact(rng, rng.randrange(BIG + 1))
+    q, r = gf2poly.div_rem(a, b)
+    assert gf2poly.mul(q, b) ^ r == a
+    assert gf2poly.degree(r) < gf2poly.degree(b)
+
+
+@pytest.mark.parametrize('seed', range(3))
+def test_gcd_identities_at_degree_2_16_minus_2(seed):
+    rng = random.Random(seed)
+    k = rng.randrange(1, BIG)
+    common = _exact(rng, k)
+    a = gf2poly.mul(common, _exact(rng, BIG - k))
+    b = gf2poly.mul(common, _exact(rng, rng.randrange(BIG - k + 1)))
+    assert gf2poly.degree(a) == BIG
+    g = gf2poly.gcd(a, b)
+    (qa, ra), (qb, rb) = gf2poly.div_rem(a, g), gf2poly.div_rem(b, g)
+    assert ra == rb == 0
+    assert gf2poly.gcd(qa, qb) == 1
+    assert gf2poly.div_rem(g, common)[1] == 0

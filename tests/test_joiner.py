@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -312,12 +313,14 @@ def test_every_tree_joins_a_distinct_cycle(n):
     assert checked == expected
 
 
-def test_enumerate_joined_cycles_disconnected_warns():
+def test_enumerate_joined_cycles_disconnected_is_empty():
     lonely = PsiDecomposition(4, [(5, 10), (9, 2, 4, 8, 15, 14, 3, 6, 12, 7)])
-    assert joiner.complement_pairs(lonely).edges == ()
-    with pytest.warns(RuntimeWarning):
-        got = list(joiner.enumerate_joined_cycles(lonely))
-    assert got == []
+    graph = joiner.complement_pairs(lonely)
+    assert graph.edges == ()
+    assert joiner.best_count(graph) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        assert list(joiner.enumerate_joined_cycles(lonely)) == []
 
 
 def test_join_all_worked_and_random():
