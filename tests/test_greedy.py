@@ -1,5 +1,6 @@
 """Unit tests for the greedy walks and the sweep decomposition."""
 
+import itertools
 import random
 
 import pytest
@@ -38,6 +39,33 @@ def test_is_hamiltonian():
     assert greedy.is_hamiltonian(path, 4)
     assert not greedy.is_hamiltonian(path[:-1], 4)
     assert not greedy.is_hamiltonian(greedy.prefer_complement(4, 6), 4)
+    with pytest.raises(ValueError):
+        greedy.is_hamiltonian([1], 1)
+
+
+def _constructs(path, n):
+    try:
+        HamCycle(path, n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_is_hamiltonian_agrees_with_hamcycle():
+    # (2, 1) is not an arc of order 2, so [2, 1, 3] is no cycle although
+    # it has every vertex once and 3 -> 2 closes it.
+    assert not greedy.is_hamiltonian([2, 1, 3], 2)
+    paths = [(list(p), 2) for p in itertools.permutations((1, 2, 3))]
+    for cycle in gamma.enumerate_hamiltonian(4):
+        verts = list(cycle.vertices)
+        paths.append((verts, 4))
+        for i in range(len(verts) - 1):
+            swapped = list(verts)
+            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            paths.append((swapped, 4))
+    for path, n in paths:
+        assert greedy.is_hamiltonian(path, n) == _constructs(path, n), path
+    assert {greedy.is_hamiltonian(p, n) for p, n in paths} == {True, False}
 
 
 def test_hamiltonian_walks_validate_as_cycles():

@@ -1,6 +1,9 @@
 """Unit tests for periodic sequences, Berlekamp-Massey, and conversions."""
 
+import copy
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +28,22 @@ def _bits(s):
 
 def rand_bits(rng, count):
     return _seq(tuple(rng.randrange(2) for _ in range(count)))
+
+
+def test_copies_of_a_long_sequence_stay_small():
+    # len() is the period, so copying through tuple(self) would build a
+    # 2^22-slot tuple on the way.
+    s = BitSequence(1, 1 << 22)
+    for twin_of in (copy.copy, copy.deepcopy,
+                    lambda v: pickle.loads(pickle.dumps(v))):
+        tracemalloc.start()
+        try:
+            twin = twin_of(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert type(twin) is BitSequence and twin == s
 
 
 def test_bit_sequence_basics():
