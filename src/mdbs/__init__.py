@@ -11,11 +11,26 @@ int with bit i the coefficient of x^i, and the functions of gf2poly
 are the one polynomial API; a sequence period is a BitSequence, an int
 plus its length, and seqkit.parse_sequence reads one from text.
 
-Modules, imported one by one (the package holds only __version__):
-gf2poly (polynomial arithmetic), seqkit (sequence tooling and
-Berlekamp-Massey), gamma (the digraph), greedy (preference walks and
-decompositions), joiner (cycle joining and spanning-tree counts),
-canonical (generators and minimal polynomials), cli (command line).
+Modules, each loaded on first access as mdbs.<name> or by its own
+import (the package holds only __version__): gf2poly (polynomial
+arithmetic), seqkit (sequence tooling and Berlekamp-Massey), gamma (the
+digraph), greedy (preference walks and decompositions), joiner (cycle
+joining and spanning-tree counts), canonical (generators and minimal
+polynomials), cli (command line).
 """
 
+import sys
+
 __version__ = '0.1.0'
+
+
+def __getattr__(name):
+    """mdbs.<name> imports the submodule <name> on first access."""
+    try:
+        __import__(f'{__name__}.{name}')
+    except ModuleNotFoundError as exc:
+        if exc.name != f'{__name__}.{name}':
+            raise  # the submodule exists but one of its imports does not
+        raise AttributeError(
+            f'module {__name__!r} has no attribute {name!r}') from None
+    return sys.modules[f'{__name__}.{name}']

@@ -22,13 +22,9 @@ A refusal exits 3 before anything is written to stdout.
 """
 
 import argparse
-import csv
 import itertools
-import json
 import os
 import sys
-
-from . import canonical, gamma, gf2poly, greedy, joiner, seqkit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -136,6 +132,7 @@ def _read_arg(value):
 
 
 def _report_record(cycle, report):
+    from . import gamma, gf2poly
     return {
         'n': cycle.n,
         'vertices': list(cycle.vertices),
@@ -152,6 +149,7 @@ def _report_record(cycle, report):
 def _emit(fmt, record, text=None):
     """Print one JSON line, or text(record) (default `key = value` lines)."""
     if fmt == 'jsonl':
+        import json
         print(json.dumps(record))
     else:
         print(text(record) if text else
@@ -165,15 +163,18 @@ def _take(stream, limit):
 
 
 def cmd_graph(cfg):
+    from . import gamma
     sys.stdout.write(gamma.dot_export(cfg.n, cfg.highlight))
     return EXIT_OK
 
 
 def cmd_greedy(cfg):
+    from . import gamma, greedy
     walker = (greedy.prefer_complement if cfg.alg == 'complement'
               else greedy.modified_prefer_double)
     fmt = cfg.format or ('jsonl' if cfg.all_inits else 'text')
     if cfg.all_inits:
+        import json
         names, alg = None, json.dumps(cfg.alg)
         gamma._check_order(cfg.n)
         for v in range(1, (1 << cfg.n)):
@@ -193,18 +194,22 @@ def cmd_greedy(cfg):
                 print(f'{v}\t{ham}\t{",".join(verts)}')
         return EXIT_OK
     path = walker(cfg.n, cfg.v_init)
-    ham = greedy.is_hamiltonian(path, cfg.n)
-    seq = (gamma.cycle_to_sequence(gamma.HamCycle(path, cfg.n)).to_text()
-           if ham else None)
+    try:
+        cycle = gamma.HamCycle(path, cfg.n)
+    except ValueError:  # the walk did not close into a Hamiltonian cycle
+        cycle = None
+    seq = None if cycle is None else gamma.cycle_to_sequence(cycle).to_text()
     _emit(fmt, {'n': cfg.n, 'alg': cfg.alg, 'v_init': cfg.v_init,
-                'vertices': path, 'hamiltonian': ham, 'sequence': seq},
+                'vertices': path, 'hamiltonian': cycle is not None,
+                'sequence': seq},
           lambda r: ','.join(map(str, r['vertices'])))
-    if fmt == 'text' and not ham:
+    if fmt == 'text' and cycle is None:
         print('not hamiltonian', file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_decompose(cfg):
+    from . import greedy
     dec = greedy.psi_decompose(cfg.n, visit_order=cfg.order, seed=cfg.seed)
     _emit(cfg.format, {'n': dec.n, 'cycles': [list(c) for c in dec.cycles],
                        'order_seed': dec.seed},
@@ -220,6 +225,7 @@ def _join_row_text(row):
 
 
 def cmd_join(cfg):
+    from . import canonical, gamma, gf2poly, greedy, joiner
     dec = greedy.psi_decompose(cfg.n, visit_order=cfg.order, seed=cfg.seed)
     graph = joiner.complement_pairs(dec)
     if len(graph.edges) > MAX_EXHAUSTIVE_EDGES:
@@ -236,26 +242,28 @@ def cmd_join(cfg):
     # is distinct and the footer is the tree count: only printed rows
     # are merged.
     for pairs, cycle in _take(joined, cfg.limit):
-        _emit(cfg.format, {
-            'tree_edges': [list(p) for p in pairs],
-            'vertices': list(cycle.vertices),
-            'sequence': gamma.cycle_to_sequence(cycle).to_text(),
-            'min_poly': gf2poly.to_text(canonical.minimal_polynomial(cycle))},
-            _join_row_text)
+        row = {'tree_edges': [list(p) for p in pairs],
+               'vertices': list(cycle.vertices)}
+        if cfg.format == 'jsonl':  # the text row prints no sequence
+            row['sequence'] = gamma.cycle_to_sequence(cycle).to_text()
+        row['min_poly'] = gf2poly.to_text(canonical.minimal_polynomial(cycle))
+        _emit(cfg.format, row, _join_row_text)
     _emit(cfg.format, {'distinct_joined_cycles': count},
           lambda r: f'distinct joined cycles: {r["distinct_joined_cycles"]}')
     return EXIT_OK
 
 
 def cmd_enumerate(cfg):
+    from . import canonical, gamma
     for cycle in _take(gamma.enumerate_hamiltonian(cfg.n), cfg.limit):
         report = canonical.minimal_polynomial_of_cycle(cycle)
-        print(json.dumps(_report_record(cycle, report)))
+        _emit('jsonl', _report_record(cycle, report))
     return EXIT_OK
 
 
 def _order(cfg, length):
     """--n, else the n with 2^n - 1 <= length < 2^(n+1) - 1; checked >= 2."""
+    from . import gamma
     n = (length + 1).bit_length() - 1 if cfg.n is None else cfg.n
     gamma._check_order(n)
     return n
@@ -269,6 +277,7 @@ def _cycle_from_config(cfg, failure):
     from _order prints `failure` and the reason to stderr and returns
     None.
     """
+    from . import gamma, seqkit
     if cfg.cycle is not None:
         given, build = _csv_ints(_read_arg(cfg.cycle)), gamma.HamCycle
     else:
@@ -283,6 +292,7 @@ def _cycle_from_config(cfg, failure):
 
 
 def cmd_minpoly(cfg):
+    from . import canonical
     cycle = _cycle_from_config(cfg, 'error')
     if cycle is None:
         return EXIT_VERIFY
@@ -293,6 +303,7 @@ def cmd_minpoly(cfg):
 
 
 def cmd_verify(cfg):
+    from . import canonical, gamma, gf2poly, seqkit
     if cfg.cycle is not None:
         cycle = _cycle_from_config(cfg, 'verification failed')
         if cycle is None:
@@ -326,6 +337,10 @@ def cmd_verify(cfg):
 
 
 def cmd_tables(cfg):
+    import csv
+    # Tables 1 and 2 need neither greedy nor joiner but load them too:
+    # perfbench's tracer hooks only the modules loaded when it installs.
+    from . import canonical, gamma, gf2poly, greedy, joiner
     writer = csv.writer(sys.stdout, lineterminator='\n')
     if cfg.which == 1:
         spans = canonical.spans_of_all_cycles(cfg.n)
@@ -353,9 +368,11 @@ def cmd_tables(cfg):
             groups = {}
             for v in range(1, 1 << cfg.n):
                 path = walker(cfg.n, v)
-                if greedy.is_hamiltonian(path, cfg.n):
+                try:
                     cycle = gamma.HamCycle(path, cfg.n)
-                    groups.setdefault(cycle, ([], path))[0].append(v)
+                except ValueError:  # not Hamiltonian
+                    continue
+                groups.setdefault(cycle, ([], path))[0].append(v)
             for inits, path in sorted(groups.values()):
                 writer.writerow([alg,
                                  ' '.join(str(v) for v in inits),

@@ -21,7 +21,6 @@ resulting PsiDecomposition is the raw material for cycle joining.
 """
 
 import functools
-import random
 from typing import NamedTuple
 
 from .gamma import successors, _check_order, _check_vertex, _is_closed_walk
@@ -151,6 +150,7 @@ def psi_decompose(n, visit_order=None, seed=None):
         rest = sorted(set(range(1, size + 1)) - set(given))
         order = given + tuple(rest)
     elif seed is not None:
+        import random
         seed = str(seed)
         order = list(range(1, size + 1))
         random.Random(seed).shuffle(order)

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import mdbs
 from mdbs import canonical, cli, gamma, gf2poly, greedy, joiner, seqkit
 
 FINAL_CYCLE = '1,2,11,9,13,5,10,4,7,14,3,6,12,8,15'
@@ -273,6 +274,31 @@ def test_join_rows_run_no_berlekamp_massey(capsys, monkeypatch):
     assert cli.main(['minpoly', '--cycle', FINAL_CYCLE]) == 0
     assert calls == {'berlekamp_massey': 1}
     capsys.readouterr()
+
+
+def test_join_text_rows_build_no_sequence(capsys, monkeypatch):
+    # Only the jsonl row prints the sequence.
+    calls = {}
+    _count_calls(monkeypatch, gamma, 'cycle_to_sequence', calls)
+    argv = ['join', '--n', '6', '--seed', '208', '--limit', '20']
+    assert cli.main(argv + ['--format', 'text']) == 0
+    assert calls == {}
+    assert cli.main(argv) == 0
+    assert calls == {'cycle_to_sequence': 20}
+    capsys.readouterr()
+
+
+def test_table3_validates_each_walk_once(capsys, monkeypatch):
+    # A walk never revisits a vertex, so one shorter than 2^n - 1 fails
+    # HamCycle's length check, and each full-length walk is tested once.
+    walkers = (greedy.prefer_complement, greedy.modified_prefer_double)
+    full = sum(len(walk(5, v)) == 31 for walk in walkers for v in range(1, 32))
+    calls = {}
+    for module in (gamma, greedy):
+        _count_calls(monkeypatch, module, '_is_closed_walk', calls)
+    assert cli.main(['tables', '--n', '5', '--which', '3']) == 0
+    assert _rows(capsys.readouterr().out)
+    assert calls == {'_is_closed_walk': full}
 
 
 @pytest.mark.parametrize('limit', ['0', '-1'])
@@ -667,19 +693,56 @@ def test_sweep_checks_the_order_first(capsys, argv):
     assert captured.err == 'error: order n must be an integer >= 2\n'
 
 
+def _loaded_after(code):
+    """The mdbs modules, and json and csv if loaded, after a fresh code run.
+
+    The process prints them as its last stderr line, after code's output.
+    """
+    env = dict(os.environ)
+    env['PYTHONPATH'] = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code += ('\nimport sys; print(" ".join(sorted(m for m in sys.modules '
+             'if m in ("json", "csv") or m.split(".")[0] == "mdbs")), '
+             'file=sys.stderr)')
+    proc = subprocess.run([sys.executable, '-c', code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stderr.splitlines()[-1].split()
+
+
 @pytest.mark.parametrize('module, loaded', [
     ('gf2poly', {'gf2poly'}),
     ('seqkit', {'seqkit', 'gf2poly'}),
-    ('gamma', {'gamma', 'seqkit', 'gf2poly'})])
+    ('gamma', {'gamma', 'seqkit', 'gf2poly'}),
+    ('cli', {'cli'})])
 def test_import_loads_only_what_the_module_imports(module, loaded):
-    env = dict(os.environ)
-    env['PYTHONPATH'] = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    code = (f'import sys, mdbs.{module}; print(" ".join(sorted('
-            f'm for m in sys.modules if m.split(".")[0] == "mdbs")))')
-    proc = subprocess.run([sys.executable, '-c', code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == sorted(
+    assert _loaded_after(f'import mdbs.{module}') == sorted(
         {'mdbs'} | {f'mdbs.{m}' for m in loaded})
+
+
+@pytest.mark.parametrize('argv, loaded', [
+    (['--help'], {'cli'}),
+    (['tables', '--n', '4', '--which', '99'], {'cli'}),
+    (['verify', '--sequence', DE_BRUIJN_16],
+     {'cli', 'canonical', 'gamma', 'gf2poly', 'seqkit'}),
+    (['decompose', '--n', '4', '--seed', '1'],
+     {'cli', 'gamma', 'gf2poly', 'greedy', 'seqkit', 'json'}),
+    # Every table loads the modules of all four tables.
+    (['tables', '--n', '4', '--which', '1'],
+     {'cli', 'canonical', 'gamma', 'gf2poly', 'greedy', 'joiner', 'seqkit',
+      'csv'})])
+def test_subcommand_loads_only_what_it_runs(argv, loaded):
+    code = f'from mdbs import cli; cli.main({argv!r})'
+    assert _loaded_after(code) == sorted(
+        {'mdbs'} | {m if m in ('json', 'csv') else f'mdbs.{m}'
+                    for m in loaded})
+
+
+def test_package_attribute_loads_its_submodule():
+    assert _loaded_after('import mdbs') == ['mdbs']
+    assert _loaded_after(
+        'import mdbs, sys; assert mdbs.joiner is sys.modules["mdbs.joiner"]'
+    ) == ['mdbs', 'mdbs.gamma', 'mdbs.gf2poly', 'mdbs.joiner', 'mdbs.seqkit']
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        mdbs.nope
 
 
 def test_memory_error_exits_2(capsys, monkeypatch):
