@@ -92,8 +92,7 @@ def parse_args(argv=None):
                        help='all Hamiltonian cycles with full reports')
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--limit', type=int, default=None)
-    p.add_argument('--override-guard', action='store_true',
-                   dest='override_guard')
+    p.add_argument('--override-guard', action='store_true')
 
     for name, text in (
             ('minpoly', 'minimal-polynomial report of a cycle or sequence'),
@@ -111,8 +110,7 @@ def parse_args(argv=None):
     p = sub.add_parser('tables', help='reproduce the reference tables')
     p.add_argument('--n', type=int, required=True)
     p.add_argument('--which', type=int, required=True, choices=[1, 2, 3, 4])
-    p.add_argument('--override-guard', action='store_true',
-                   dest='override_guard')
+    p.add_argument('--override-guard', action='store_true')
 
     return parser.parse_args(argv)
 
@@ -133,17 +131,11 @@ def _read_arg(value):
 
 def _report_record(cycle, report):
     from . import gamma, gf2poly
-    return {
-        'n': cycle.n,
-        'vertices': list(cycle.vertices),
-        'sequence': gamma.cycle_to_sequence(cycle).to_text(),
-        'c_h': gf2poly.to_text(report.c_h),
-        'd': gf2poly.to_text(report.d),
-        'f': gf2poly.to_text(report.f),
-        'f_star': gf2poly.to_text(report.f_star),
-        'span': report.span,
-        'bm_check': gf2poly.to_text(report.bm_check),
-    }
+    record = {'n': cycle.n, 'vertices': list(cycle.vertices),
+              'sequence': gamma.cycle_to_sequence(cycle).to_text()}
+    for key, value in report._asdict().items():
+        record[key] = value if key == 'span' else gf2poly.to_text(value)
+    return record
 
 
 def _emit(fmt, record, text=None):
@@ -174,8 +166,7 @@ def cmd_greedy(cfg):
               else greedy.modified_prefer_double)
     fmt = cfg.format or ('jsonl' if cfg.all_inits else 'text')
     if cfg.all_inits:
-        import json
-        names, alg = None, json.dumps(cfg.alg)
+        names = None
         gamma._check_order(cfg.n)
         for v in range(1, (1 << cfg.n)):
             path = walker(cfg.n, v)
@@ -185,9 +176,10 @@ def cmd_greedy(cfg):
                 names = [str(x) for x in range(1 << cfg.n)]
             verts = [names[x] for x in path]
             if fmt == 'jsonl':
-                # The bytes json.dumps writes, built by hand: json.dumps
-                # took the n = 11 sweep 0.23 s against 0.16 s (Python 3.11).
-                print(f'{{"n": {cfg.n}, "alg": {alg}, "v_init": {v}, '
+                # The bytes json.dumps writes, built by hand (argparse
+                # leaves alg one of two ASCII words): json.dumps took the
+                # n = 11 sweep 0.23 s against 0.16 s (Python 3.11).
+                print(f'{{"n": {cfg.n}, "alg": "{cfg.alg}", "v_init": {v}, '
                       f'"vertices": [{", ".join(verts)}], '
                       f'"hamiltonian": {"true" if ham else "false"}}}')
             else:
@@ -310,11 +302,11 @@ def cmd_verify(cfg):
             return EXIT_VERIFY
         report = canonical.minimal_polynomial_of_cycle(cycle)
         seq = gamma.cycle_to_sequence(cycle)
-        ok = (report.bm_check == report.f
-              and seqkit.is_modified_de_bruijn(seq, cycle.n))
+        bm_matches = report.bm_check == report.f
+        ok = bm_matches and seqkit.is_modified_de_bruijn(seq, cycle.n)
         record = {'n': cycle.n, 'vertices': list(cycle.vertices),
                   'sequence': seq.to_text(), 'span': report.span,
-                  'bm_matches': report.bm_check == report.f, 'ok': ok}
+                  'bm_matches': bm_matches, 'ok': ok}
     else:
         seq = seqkit.parse_sequence(_read_arg(cfg.sequence))
         n = _order(cfg, seq.period)
@@ -382,15 +374,14 @@ def cmd_tables(cfg):
     if cfg.n != 4:
         return _usage('the worked join table exists at order 4 only')
     dec = greedy.psi_decompose(4, visit_order=(6, 4, 14))
-    rows = 0
     for pairs, cycle in joiner.enumerate_joined_cycles(dec):
-        rows += 1
         writer.writerow([''.join(f'({r},{s})' for r, s in pairs),
                          ' '.join(str(v) for v in cycle.vertices),
                          gamma.cycle_to_sequence(cycle).to_text(),
                          gf2poly.to_text(canonical.minimal_polynomial(cycle))])
     # One distinct cycle per tree, as in cmd_join.
-    writer.writerow(['distinct', rows])
+    writer.writerow(['distinct',
+                     joiner.best_count(joiner.complement_pairs(dec))])
     return EXIT_OK
 
 

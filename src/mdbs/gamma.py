@@ -127,8 +127,10 @@ class HamCycle:
         object.__setattr__(self, 'vertices', vertices)
         object.__setattr__(self, 'n', n)
 
-    def __setattr__(self, name, v):
+    def __setattr__(self, *_):
         raise AttributeError('HamCycle is immutable')
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         """Pickles and copies are rebuilt through the checks."""

@@ -13,7 +13,8 @@ selects its terms from a cached table of x^i strings.
 
 Arguments are nonnegative ints and are not coerced; mul, div_rem, gcd
 and pow_mod refuse a negative one, on which their loops would never
-end.  Text is the checked boundary.  Three interchangeable text forms
+end, and so does to_text, whose symbolic form would read the sign as a
+term.  Text is the checked boundary.  Three interchangeable text forms
 are supported:
 
 * symbolic   -- "x^10+x^8+x^5+x+1"
@@ -212,6 +213,8 @@ def parse(text):
 
 def to_text(a, fmt='symbolic'):
     """Render a in the requested text form (symbolic, binary, or hex)."""
+    if a < 0:
+        raise ValueError('polynomials are nonnegative ints')
     if fmt == 'symbolic':
         if a == 0:
             return '0'

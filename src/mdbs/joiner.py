@@ -52,30 +52,26 @@ class JoinMatrix(NamedTuple):
     entries: Tuple[Tuple[int, ...], ...]
 
     def cofactor(self):
-        """Determinant of the PSD minor without row 0 and column 0."""
-        minor = [list(row[1:]) for row in self.entries[1:]]
-        return _det(minor)
+        """Determinant of the minor without row 0 and column 0.
 
-
-def _det(m):
-    """Exact integer determinant by fraction-free (Bareiss) elimination.
-
-    m is overwritten and must be positive semidefinite (PSD), as a
-    Laplacian minor is: pivot k is the leading principal minor of order
-    k + 1, and a PSD matrix with a zero one is singular, so no row swaps.
-    """
-    size = len(m)
-    if size == 0:
-        return 1
-    denom = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // denom
-        denom = m[k][k]
-    return m[-1][-1]
+        Exact fraction-free (Bareiss) elimination.  The minor is
+        positive semidefinite (PSD), as a Laplacian minor is: pivot k is
+        its leading principal minor of order k + 1, and a PSD matrix
+        with a zero one is singular, so no row swaps.
+        """
+        m = [list(row[1:]) for row in self.entries[1:]]
+        size = len(m)
+        if size == 0:
+            return 1
+        denom = 1
+        for k in range(size - 1):
+            if m[k][k] == 0:
+                return 0
+            for i in range(k + 1, size):
+                for j in range(k + 1, size):
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // denom
+            denom = m[k][k]
+        return m[-1][-1]
 
 
 def _table(dec):

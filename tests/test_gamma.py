@@ -183,6 +183,21 @@ def test_ham_cycle_rotations_are_one_value():
         assert cycle != (verts, 4) and (verts, 4) != cycle
 
 
+@pytest.mark.parametrize('name', ('vertices', 'n'))
+def test_ham_cycle_fields_can_be_neither_set_nor_deleted(name):
+    cycle = HamCycle(FINAL, 4)
+    with pytest.raises(AttributeError, match='HamCycle is immutable'):
+        setattr(cycle, name, getattr(cycle, name))
+    with pytest.raises(AttributeError, match='HamCycle is immutable'):
+        delattr(cycle, name)
+    assert cycle == HamCycle(FINAL, 4)
+    assert hash(cycle) == hash(HamCycle(FINAL, 4))
+
+
+def test_ham_cycle_repr_shows_the_stored_rotation():
+    assert repr(HamCycle(FINAL, 4)) == f'HamCycle({FINAL})'
+
+
 @pytest.mark.parametrize('value', (
     HamCycle(FINAL, 4), gamma.cycle_to_sequence(HamCycle(FINAL, 4))),
     ids=('HamCycle', 'BitSequence'))

@@ -48,9 +48,12 @@ def test_pow_mod_rejects_zero_modulus_and_negative_exponent():
     ('mul', (1, -1)), ('mul', (-1, 1)), ('div_rem', (-1, 1)),
     ('div_rem', (1, -1)), ('gcd', (-1, 1)), ('gcd', (1, -1)),
     ('gcd', (-1, 0)), ('pow_mod', (2, 3, -3)), ('pow_mod', (-2, 3, 7)),
+    ('to_text', (-1,)), ('to_text', (-5,)), ('to_text', (-1, 'binary')),
+    ('to_text', (-1, 'hex')),
 ])
 def test_negative_operands_raise(name, args):
-    # The shift-and-XOR loops never end on a negative int.
+    # The shift-and-XOR loops never end on a negative int, and symbolic
+    # text would read its sign as a term.
     with pytest.raises(ValueError):
         getattr(gf2poly, name)(*args)
 
@@ -189,6 +192,8 @@ def test_expand_series_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gf2poly.expand_series(gf2poly.parse('x^3'),
                               gf2poly.parse('x^2+x+1'), 4)
+    with pytest.raises(ValueError, match='count must be positive'):
+        gf2poly.expand_series(1, gf2poly.parse('x^2+x+1'), 0)
 
 
 def test_irreducible_count_known_values():
@@ -198,6 +203,11 @@ def test_irreducible_count_known_values():
     assert [gf2poly.irreducible_count(n) for n in range(1, 21)] \
         == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335, 630, 1161, 2182,
             4080, 7710, 14532, 27594, 52377]
+
+
+def test_irreducible_count_rejects_degree_0():
+    with pytest.raises(ValueError, match='n >= 1'):
+        gf2poly.irreducible_count(0)
 
 
 def test_irreducible_count_matches_exhaustive_scan():
@@ -213,6 +223,7 @@ def test_parse_and_render_symbolic():
     assert gf2poly.parse('1') == 1
     assert gf2poly.parse('x') == 2
     assert gf2poly.parse(' x^3 + x ') == 0b1010
+    assert gf2poly.parse('x^2+0') == 4
 
 
 def test_parse_and_render_binary():
@@ -232,6 +243,11 @@ def test_parse_rejects_malformed_text():
                 '0x+3', '0x1_0', '0x-5', '0x', 'x^1_0', 'x^\u0663'):
         with pytest.raises(ValueError):
             gf2poly.parse(bad)
+
+
+def test_to_text_rejects_unknown_format():
+    with pytest.raises(ValueError, match="unknown polynomial format 'octal'"):
+        gf2poly.to_text(5, 'octal')
 
 
 def test_text_roundtrip_all_formats():

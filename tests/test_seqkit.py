@@ -147,6 +147,18 @@ def test_window_complete_recognizers():
     assert not seqkit.is_de_bruijn(BitSequence(0, 16), 4)
 
 
+@pytest.mark.parametrize('check, args', [
+    (seqkit.is_de_bruijn, (FULL_PAIR[0], 1)),
+    (seqkit.is_modified_de_bruijn, (FULL_PAIR[1], 1)),
+    (seqkit.possible_spans, (1,)),
+    (seqkit.check_de_bruijn_span_form, (parse_sequence('0011'), 2)),
+], ids=('is_de_bruijn', 'is_modified_de_bruijn', 'possible_spans',
+        'check_de_bruijn_span_form'))
+def test_orders_below_the_minimum_raise(check, args):
+    with pytest.raises(ValueError, match='at least 2|n >= 2|n >= 3'):
+        check(*args)
+
+
 def test_modify_drops_one_zero():
     full, modified = FULL_PAIR
     assert seqkit.modify(full, 4) == modified
@@ -216,6 +228,17 @@ def test_de_bruijn_span_form_rejects_non_de_bruijn():
     _, modified = FULL_PAIR
     with pytest.raises(ValueError):
         seqkit.check_de_bruijn_span_form(modified, 4)
+
+
+@pytest.mark.parametrize('f, expected', [
+    (gf2poly.parse('x^16+1'), True),           # (x + 1)^16, the top
+    (gf2poly.parse('x^9+x^8+x+1'), True),      # (x + 1)^9, the bottom
+    (gf2poly.parse('x^8+1'), False),           # (x + 1)^8, too low
+    (gf2poly.mul(1 << 16 | 1, 3), False),      # (x + 1)^17, too high
+    (gf2poly.parse('x^10+1'), False),          # in range, other factors
+])
+def test_has_span_form_at_order_4(f, expected):
+    assert seqkit.has_span_form(f, 4) is expected
 
 
 def test_bm_reversal_matches_reciprocal():
