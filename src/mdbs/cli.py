@@ -255,9 +255,9 @@ def cmd_enumerate(cfg):
 
 def _order(cfg, length):
     """--n, else the n with 2^n - 1 <= length < 2^(n+1) - 1; checked >= 2."""
-    from . import gamma
+    from . import seqkit
     n = (length + 1).bit_length() - 1 if cfg.n is None else cfg.n
-    gamma._check_order(n)
+    seqkit._check_order(n)
     return n
 
 
@@ -295,8 +295,9 @@ def cmd_minpoly(cfg):
 
 
 def cmd_verify(cfg):
-    from . import canonical, gamma, gf2poly, seqkit
+    from . import gf2poly, seqkit
     if cfg.cycle is not None:
+        from . import canonical, gamma
         cycle = _cycle_from_config(cfg, 'verification failed')
         if cycle is None:
             return EXIT_VERIFY

@@ -25,12 +25,7 @@ arc before the complement arc, which lists them in lexicographic order
 of their label sequences read from that vertex.
 """
 
-from .seqkit import BitSequence
-
-
-def _check_order(n, minimum=2):
-    if not isinstance(n, int) or n < minimum:
-        raise ValueError(f'order n must be an integer >= {minimum}')
+from .seqkit import BitSequence, _check_order
 
 
 def _check_vertex(v, n):
@@ -84,12 +79,15 @@ def loop_vertex(n):
 
 
 def _is_closed_walk(verts, size):
-    """True when verts are ints in 1..size, each followed by an arc target.
+    """True when the tuple verts is a Hamiltonian cycle; size = 2^n - 1.
 
-    Whole-tuple test, wrap-around included: b is a target of a exactly
-    when ((a << 1) ^ b) & size is 0 (double arc) or size (complement).
+    Each of the size distinct vertices is an int in 1..size, as for
+    _check_vertex, and b follows a exactly when ((a << 1) ^ b) & size
+    is 0 (double arc) or size (complement), wrap-around included.
     """
-    if set(map(type, verts)) != {int} or min(verts) < 1 or max(verts) > size:
+    if (len(verts) != size or len(set(verts)) != size
+            or not all(issubclass(t, int) for t in set(map(type, verts)))
+            or min(verts) < 1 or max(verts) > size):
         return False
     follow = verts[1:] + verts[:1]
     return {((a << 1) ^ b) & size for a, b in zip(verts, follow)} <= {0, size}
@@ -111,14 +109,13 @@ class HamCycle:
         vertices = tuple(vertices)
         _check_order(n)
         size = (1 << n) - 1
-        if len(vertices) != size:
-            raise ValueError(
-                f'cycle length {len(vertices)} != {size} for order {n}')
-        if len(set(vertices)) != size:
-            raise ValueError('cycle vertices are not distinct')
         if not _is_closed_walk(vertices, size):
-            # Name the first offender as a per-vertex pass would.  Only
-            # vertices of an int subclass, such as bool, get through.
+            # Name the first offender.
+            if len(vertices) != size:
+                raise ValueError(
+                    f'cycle length {len(vertices)} != {size} for order {n}')
+            if len(set(vertices)) != size:
+                raise ValueError('cycle vertices are not distinct')
             for i, a in enumerate(vertices):
                 _check_vertex(a, n)
                 b = vertices[(i + 1) % size]

@@ -92,9 +92,7 @@ def modified_prefer_double(n, v_init):
 def is_hamiltonian(path, n):
     """True exactly when HamCycle(path, n) constructs; a bad n raises."""
     _check_order(n)
-    size = (1 << n) - 1
-    return (len(path) == size and len(set(path)) == size
-            and _is_closed_walk(tuple(path), size))
+    return _is_closed_walk(tuple(path), (1 << n) - 1)
 
 
 class PsiDecomposition(NamedTuple('PsiDecomposition', [
@@ -145,9 +143,10 @@ def psi_decompose(n, visit_order=None, seed=None):
         given = tuple(visit_order)
         for v in given:
             _check_vertex(v, n)
-        if len(set(given)) != len(given):
+        rest = sorted(set(range(1, size + 1)).difference(given))
+        # Every given vertex is in range, so a repeat leaves one too many.
+        if len(given) + len(rest) != size:
             raise ValueError('visit order repeats a vertex')
-        rest = sorted(set(range(1, size + 1)) - set(given))
         order = given + tuple(rest)
     elif seed is not None:
         import random

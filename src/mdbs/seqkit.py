@@ -22,6 +22,11 @@ from typing import NamedTuple
 from . import gf2poly
 
 
+def _check_order(n, minimum=2):
+    if not isinstance(n, int) or n < minimum:
+        raise ValueError(f'order n must be an integer >= {minimum}')
+
+
 class BitSequence(NamedTuple('BitSequence', [('value', int),
                                               ('period', int)])):
     """One period of a binary sequence, packed into an int.
@@ -63,7 +68,7 @@ def parse_sequence(text):
         s = s[1:-1]
     parts = s.split(',')
     s = ''.join(parts)
-    one_per_part = len(parts) == 1 or max(map(len, parts)) <= 1
+    one_per_part = len(parts) == 1 or set(map(len, parts)) == {1}
     if not (s and one_per_part) or s.strip('01'):
         raise ValueError(f'bad sequence text {text!r}')
     return BitSequence(int(s, 2), len(s))
@@ -104,29 +109,25 @@ def berlekamp_massey(s):
     return int(format(c, f'0{length + 1}b')[::-1], 2)
 
 
-def _windows(s, n):
-    """All cyclic length-n windows as integers, first bit most significant."""
+def _is_window_complete(s, n, zero_free):
+    """is_de_bruijn, or is_modified_de_bruijn if zero_free: one scan."""
+    _check_order(n)
+    period = (1 << n) - zero_free
+    if s.period != period:
+        return False
     text = s.to_text() * 2
-    return [int(text[i:i + n], 2) for i in range(s.period)]
+    windows = {text[i:i + n] for i in range(period)}
+    return len(windows) == period and not (zero_free and '0' * n in windows)
 
 
 def is_de_bruijn(s, n):
     """True when s has period 2^n and every n-window appears exactly once."""
-    if n < 2:
-        raise ValueError('window order must be at least 2')
-    if s.period != 1 << n:
-        return False
-    return len(set(_windows(s, n))) == s.period
+    return _is_window_complete(s, n, zero_free=False)
 
 
 def is_modified_de_bruijn(s, n):
     """True when s has period 2^n - 1 and every nonzero n-window appears once."""
-    if n < 2:
-        raise ValueError('window order must be at least 2')
-    if s.period != (1 << n) - 1:
-        return False
-    windows = _windows(s, n)
-    return 0 not in windows and len(set(windows)) == s.period
+    return _is_window_complete(s, n, zero_free=True)
 
 
 def _from_zero_run(s, run):
@@ -174,8 +175,7 @@ def possible_spans(n):
     a_d * d to the total; the set of all reachable totals is returned
     (0 comes from the empty product, 2^n - 2 from taking everything).
     """
-    if n < 2:
-        raise ValueError('possible_spans requires n >= 2')
+    _check_order(n)
     divisors = [d for d in range(2, n + 1) if n % d == 0]
     spans = {0}
     for d in divisors:
@@ -191,8 +191,7 @@ def check_de_bruijn_span_form(s, n):
     must be (x + 1)^z with 2^(n-1) + 1 <= z <= 2^n.  Returns whether
     that holds for s; s failing to be de Bruijn is a ValueError.
     """
-    if n < 3:
-        raise ValueError('span-form check requires n >= 3')
+    _check_order(n, minimum=3)
     if not is_de_bruijn(s, n):
         raise ValueError(f'input is not a de Bruijn sequence of order {n}')
     return has_span_form(berlekamp_massey(s), n)

@@ -63,6 +63,14 @@ def test_is_hamiltonian_agrees_with_hamcycle():
             swapped = list(verts)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
             paths.append((swapped, 4))
+    # A bool is an int to both; a float, a str, 0 and 2^n are no vertex.
+    base = list(next(gamma.enumerate_hamiltonian(4)).vertices)
+    one = base.index(1)
+    for vertex, accepted in ((True, True), (1.0, False), ('1', False),
+                             (0, False), (16, False)):
+        path = base[:one] + [vertex] + base[one + 1:]
+        assert greedy.is_hamiltonian(path, 4) is accepted, path
+        paths.append((path, 4))
     for path, n in paths:
         assert greedy.is_hamiltonian(path, n) == _constructs(path, n), path
     assert {greedy.is_hamiltonian(p, n) for p, n in paths} == {True, False}

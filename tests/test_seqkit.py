@@ -65,7 +65,8 @@ def test_parse_sequence_formats():
     assert parse_sequence('(0, 1, 1, 0)').to_text() == '0110'
     assert parse_sequence('1,0,1').to_text() == '101'
     for text in ('', '()', ',', '(', '01a0', '0 2', '1_0', '01,1',
-                 '(0_1,0)', '(+1,0)', '(-0,1)', '(0,0,+1,1)', '\u0661\u0660'):
+                 '(0_1,0)', '(+1,0)', '(-0,1)', '(0,0,+1,1)', '\u0661\u0660',
+                 '0,,1', '0,1,', '(,0,1)'):
         with pytest.raises(ValueError, match='bad sequence text'):
             parse_sequence(text)
 
@@ -145,18 +146,22 @@ def test_window_complete_recognizers():
     assert not seqkit.is_modified_de_bruijn(full, 4)
     assert not seqkit.is_modified_de_bruijn(BitSequence(0, 15), 4)
     assert not seqkit.is_de_bruijn(BitSequence(0, 16), 4)
+    # The windows 00, 01 and 10 are distinct, but one is zero.
+    assert not seqkit.is_modified_de_bruijn(BitSequence(0b001, 3), 2)
 
 
-@pytest.mark.parametrize('check, args', [
-    (seqkit.is_de_bruijn, (FULL_PAIR[0], 1)),
-    (seqkit.is_modified_de_bruijn, (FULL_PAIR[1], 1)),
-    (seqkit.possible_spans, (1,)),
-    (seqkit.check_de_bruijn_span_form, (parse_sequence('0011'), 2)),
+@pytest.mark.parametrize('check, args, minimum', [
+    (seqkit.is_de_bruijn, (FULL_PAIR[0],), 2),
+    (seqkit.is_modified_de_bruijn, (FULL_PAIR[1],), 2),
+    (seqkit.possible_spans, (), 2),
+    (seqkit.check_de_bruijn_span_form, (parse_sequence('0011'),), 3),
 ], ids=('is_de_bruijn', 'is_modified_de_bruijn', 'possible_spans',
         'check_de_bruijn_span_form'))
-def test_orders_below_the_minimum_raise(check, args):
-    with pytest.raises(ValueError, match='at least 2|n >= 2|n >= 3'):
-        check(*args)
+def test_orders_below_the_minimum_raise(check, args, minimum):
+    for n in (minimum - 1, 2.5):
+        with pytest.raises(ValueError, match=f'^order n must be an integer '
+                                             f'>= {minimum}$'):
+            check(*args, n)
 
 
 def test_modify_drops_one_zero():
