@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from . import gf2poly
 from .gf2poly import build_F
-from .gamma import cycle_to_sequence, enumerate_hamiltonian
-from .seqkit import berlekamp_massey, shift
+from .gamma import _hamiltonian_dfs, cycle_to_sequence
+from .seqkit import _check_order, berlekamp_massey, shift
 
 
 class MinPolyReport(NamedTuple):
@@ -58,10 +58,32 @@ def _div_by_x_plus_1(v):
     return q
 
 
+def _c_h(labels, n):
+    """c_H from the packed labels of an order-n cycle, read from its
+    all-ones vertex as _hamiltonian_dfs yields them.
+
+    Rotated n places right, they start at the arc into the vertex
+    n - 1 places before the all-ones vertex.  The rotation is written
+    out, not taken through seqkit.shift, so that a census over every
+    cycle builds no BitSequence per cycle.
+    """
+    size = (1 << n) - 1
+    return _div_by_x_plus_1(labels >> n | (labels & size) << (size - n))
+
+
 def _generator(cycle, labels):
     """c_H from the cycle's label sequence `labels`."""
     top = cycle.vertices.index((1 << cycle.n) - 1)
-    return _div_by_x_plus_1(shift(labels, top - cycle.n).value)
+    return _c_h(shift(labels, top).value, cycle.n)
+
+
+def _all_generators(n):
+    """c_H of every Hamiltonian cycle of order n >= 3, in the order of
+    enumerate_hamiltonian, from the search's labels: no HamCycle is
+    built.  n is checked at the call.
+    """
+    _check_order(n, minimum=3)
+    return (_c_h(labels, n) for _, labels in _hamiltonian_dfs(n))
 
 
 def canonical_generator(cycle):
@@ -99,16 +121,8 @@ def minimal_polynomial(cycle):
     return _lowest_terms(canonical_generator(cycle), build_F(cycle.n))[1]
 
 
-def minimal_polynomial_of_cycle(cycle):
-    """Full minimal-polynomial report for one Hamiltonian cycle.
-
-    d divides out the common factor of the canonical generator and F,
-    f = F / d annihilates the cycle's label sequence, and f* (the
-    reciprocal) annihilates the series expansion of c_H / F.  bm_check
-    is the Berlekamp-Massey minimal polynomial of the label sequence,
-    which must equal f.
-    """
-    labels = cycle_to_sequence(cycle)
+def _report(cycle, labels):
+    """minimal_polynomial_of_cycle, given the cycle's label sequence."""
     c_h = _generator(cycle, labels)
     d, f = _lowest_terms(c_h, build_F(cycle.n))
     return MinPolyReport(
@@ -121,10 +135,24 @@ def minimal_polynomial_of_cycle(cycle):
     )
 
 
+def minimal_polynomial_of_cycle(cycle):
+    """Full minimal-polynomial report for one Hamiltonian cycle.
+
+    d divides out the common factor of the canonical generator and F,
+    f = F / d annihilates the cycle's label sequence, and f* (the
+    reciprocal) annihilates the series expansion of c_H / F.  bm_check
+    is the Berlekamp-Massey minimal polynomial of the label sequence,
+    which must equal f.
+    """
+    return _report(cycle, cycle_to_sequence(cycle))
+
+
 def spans_of_all_cycles(n):
     """Multiset of spans over every Hamiltonian cycle of order n.
 
     Returns a Counter mapping span -> number of cycles.
     """
-    return Counter(gf2poly.degree(minimal_polynomial(c))
-                   for c in enumerate_hamiltonian(n))
+    generators = _all_generators(n)
+    f = build_F(n)
+    return Counter(gf2poly.degree(_lowest_terms(c_h, f)[1])
+                   for c_h in generators)

@@ -129,12 +129,19 @@ def _read_arg(value):
     return sys.stdin.read().strip() if value == '-' else value
 
 
-def _report_record(cycle, report):
-    from . import gamma, gf2poly
+def _report_record(cycle, labels, report):
+    """The record of a report; f, f* and bm_check often coincide, so
+    each distinct polynomial is rendered once."""
+    from . import gf2poly
     record = {'n': cycle.n, 'vertices': list(cycle.vertices),
-              'sequence': gamma.cycle_to_sequence(cycle).to_text()}
+              'sequence': labels.to_text()}
+    text = {}
     for key, value in report._asdict().items():
-        record[key] = value if key == 'span' else gf2poly.to_text(value)
+        if key != 'span':
+            if value not in text:
+                text[value] = gf2poly.to_text(value)
+            value = text[value]
+        record[key] = value
     return record
 
 
@@ -246,10 +253,15 @@ def cmd_join(cfg):
 
 
 def cmd_enumerate(cfg):
-    from . import canonical, gamma
-    for cycle in _take(gamma.enumerate_hamiltonian(cfg.n), cfg.limit):
-        report = canonical.minimal_polynomial_of_cycle(cycle)
-        _emit('jsonl', _report_record(cycle, report))
+    # The search's labels give each report and its sequence field.
+    from . import canonical, gamma, seqkit
+    gamma._check_order(cfg.n, minimum=3)
+    period = (1 << cfg.n) - 1
+    for verts, value in _take(gamma._hamiltonian_dfs(cfg.n), cfg.limit):
+        cycle = gamma.HamCycle(verts, cfg.n)
+        labels = seqkit.BitSequence(value, period)
+        _emit('jsonl', _report_record(cycle, labels,
+                                      canonical._report(cycle, labels)))
     return EXIT_OK
 
 
@@ -284,12 +296,13 @@ def _cycle_from_config(cfg, failure):
 
 
 def cmd_minpoly(cfg):
-    from . import canonical
+    from . import canonical, gamma
     cycle = _cycle_from_config(cfg, 'error')
     if cycle is None:
         return EXIT_VERIFY
-    report = canonical.minimal_polynomial_of_cycle(cycle)
-    _emit(cfg.format, _report_record(cycle, report), lambda r: '\n'.join(
+    record = _report_record(cycle, gamma.cycle_to_sequence(cycle),
+                            canonical.minimal_polynomial_of_cycle(cycle))
+    _emit(cfg.format, record, lambda r: '\n'.join(
         f'{key} = {r[key]}' for key in canonical.MinPolyReport._fields))
     return EXIT_OK
 
@@ -343,8 +356,7 @@ def cmd_tables(cfg):
         # Maximal span 2^n - 2 means the generator is coprime to F.
         f = gf2poly.build_F(cfg.n)
         rows = []
-        for cycle in gamma.enumerate_hamiltonian(cfg.n):
-            c_h = canonical.canonical_generator(cycle)
+        for c_h in canonical._all_generators(cfg.n):
             if gf2poly.gcd(c_h, f) == 1:
                 # c_H / F = c_H (x + 1) / (x^N + 1), so its first N series
                 # terms are the coefficients of c_H (x + 1), lowest first.

@@ -22,7 +22,13 @@ exactly once, and conversely each such sequence traces a Hamiltonian
 cycle.  Exhaustive cycle enumeration lists the 2^(2^(n-1) - n) cycles
 by a depth-first search from the all-ones vertex that tries the double
 arc before the complement arc, which lists them in lexicographic order
-of their label sequences read from that vertex.
+of their label sequences read from that vertex.  The search carries
+each cycle's labels, and it skips every branch that breaks the
+last-exit rule of the BEST theorem (van Aardenne-Ehrenfest and de
+Bruijn, 1951): A and A XOR 2^(n-1) share both targets, so the cycles
+are the Euler circuits of a graph on these pairs, and the last exits
+of an Euler circuit form a tree into its end.  At n = 5 the rule cuts
+the search from 79,024 steps to 32,607.
 """
 
 from .seqkit import BitSequence, _check_order
@@ -85,8 +91,9 @@ def _is_closed_walk(verts, size):
     _check_vertex, and b follows a exactly when ((a << 1) ^ b) & size
     is 0 (double arc) or size (complement), wrap-around included.
     """
-    if (len(verts) != size or len(set(verts)) != size
+    if (len(verts) != size
             or not all(issubclass(t, int) for t in set(map(type, verts)))
+            or len(set(verts)) != size
             or min(verts) < 1 or max(verts) > size):
         return False
     follow = verts[1:] + verts[:1]
@@ -114,7 +121,10 @@ class HamCycle:
             if len(vertices) != size:
                 raise ValueError(
                     f'cycle length {len(vertices)} != {size} for order {n}')
-            if len(set(vertices)) != size:
+            # set() needs hashable vertices; the pass below names a
+            # vertex that is not an int.
+            if (all(isinstance(a, int) for a in vertices)
+                    and len(set(vertices)) != size):
                 raise ValueError('cycle vertices are not distinct')
             for i, a in enumerate(vertices):
                 _check_vertex(a, n)
@@ -180,58 +190,111 @@ def cycle_from_sequence(s, n):
 def enumerate_hamiltonian(n):
     """All Hamiltonian cycles of order n, canonically rotated.
 
+    Each vertex tuple of _hamiltonian_dfs is validated as a HamCycle.
     Depth-first search from the all-ones start vertex, exploring the
     double arc (label 0) before the complement arc (label 1), so the
     stream is in lexicographic order of the label sequences read from
     that vertex.
     """
     _check_order(n, minimum=3)
-    return _hamiltonian_dfs(n)
+    return (HamCycle(verts, n) for verts, _ in _hamiltonian_dfs(n))
 
 
 def _hamiltonian_dfs(n):
-    """Hamiltonian cycles of order n, by DFS over a stack of branches.
+    """(vertices, labels) of each Hamiltonian cycle of order n, by DFS.
 
-    `used` has slot 0 preset, so the missing double arc reads as used.
-    A vertex with one free target moves on to it and pushes nothing; one
-    with two pushes (len(path), complement target) and takes the double
+    The vertices start at 2^n - 1, and labels is the packed value of
+    their cycle_to_sequence: `labels` gains the low bit of each vertex
+    entered, the label of the arc into it.  `used` has slot 0 preset,
+    so the missing double arc reads as used.  A vertex with one free
+    target moves on to it.  One with two is a branch: it pushes
+    (len(path), complement target, labels) and takes the double
     target.  A dead end pops the last branch, unmarks path[k:] and
     truncates the path before taking the branch's complement target.
-
     h = 2^(n-1) has no double arc, and its complement arc enters the
-    start 2^n - 1, so it is the last vertex of every cycle: `used[h]` is
-    preset too, and a full path closes through h.  The two targets of a
-    vertex a share the two predecessors a and a ^ h, so when a has just
-    been entered, at most one of them, entered from a ^ h, is on the
-    path; both read as used only when the other is h.  Dead ends thus
-    occur only at the two predecessors 2^(n-2) and 3 * 2^(n-2) of h.
+    start, so it is the last vertex of every cycle: `used[h]` is preset
+    too, and a full path closes through h.
+
+    The vertices a and a ^ h form the pair x = a & (h - 1).  They share
+    both targets, which no other vertex enters, so a graph with a node
+    per pair and an arc per vertex, from the pair that enters it to its
+    own, is Eulerian, and the Hamiltonian cycles are its Euler circuits
+    from the root pair 0 of h.  By the BEST theorem (van
+    Aardenne-Ehrenfest and de Bruijn, Simon Stevin 28, 1951) the last
+    exits of the other pairs form a tree into the root.  The search
+    leaves a pair for the first time only at a branch, and there fixes
+    the target the pair will leave by last: the one it does not take
+    now.  `last[x]` holds the pair of that target, or 0 while unfixed;
+    2^(n-2), preset to leave by h into the root, never branches, so its
+    entry stays 0.  Before a branch the search follows `last` from the
+    pair of each candidate last target.  A chain that returns to x
+    would close a loop of last exits, so that branch holds no cycle and
+    is skipped; no entry closes a loop, so every chain ends at a 0.
+    `fixed_at[x]` is the path length at which last[x] was fixed, and a
+    backtrack to k clears the entries fixed after k.  At
+    n = 5 the rule cuts the search from 79,024 steps to 32,607, of
+    which 30,358 lie on branches that reach a cycle.
+
+    A wrong prune could only lose cycles, so when the stream ends a
+    count other than de Bruijn's 2^(2^(n-1) - n) raises RuntimeError.
     """
     size = (1 << n) - 1
     h = (size + 1) >> 1
+    low = h - 1
     used = bytearray(size + 1)
     used[0] = used[h] = used[size] = 1
+    last = [0] * h
+    fixed_at = [0] * h
     path = [size]
+    labels = 0
     branches = []
+    count = 0
     a = size
     while True:
         d = (a << 1) & size
-        if not used[d]:
-            if not used[d ^ size]:
-                branches.append((len(path), d ^ size))
+        c = d ^ size
+        if used[d]:
+            a = 0 if used[c] else c
+        elif used[c]:
             a = d
         else:
-            a = d ^ size
-            if used[a]:
-                if len(path) == size - 1:
-                    yield HamCycle((*path, h), n)
-                if not branches:
-                    return
-                k, a = branches.pop()
-                for v in path[k:]:
-                    used[v] = 0
-                del path[k:]
+            # First exit from pair x: the target not taken now is left
+            # last, unless its chain of last exits returns to x.
+            x = a & low
+            y = c & low
+            while y and y != x:
+                y = last[y]
+            z = d & low
+            while z and z != x:
+                z = last[z]
+            if not y:
+                if not z:
+                    branches.append((len(path), c, labels))
+                a, last[x] = d, c & low
+            elif not z:
+                a, last[x] = c, d & low
+            else:
+                a = 0
+            fixed_at[x] = len(path)
+        if not a:
+            if len(path) == size - 1:
+                count += 1
+                yield (*path, h), labels << 2 | 1
+            if not branches:
+                break
+            k, a, labels = branches.pop()
+            for v in path[k:]:
+                used[v] = 0
+                if fixed_at[v & low] > k:
+                    last[v & low] = 0
+            del path[k:]
+            last[path[-1] & low] = (a ^ size) & low
         used[a] = 1
         path.append(a)
+        labels = labels << 1 | a & 1
+    if count != 1 << (h - n):
+        raise RuntimeError(f'internal error: {count} Hamiltonian cycles of '
+                           f'order {n}, not {1 << (h - n)}')
 
 
 def dot_export(n, highlight=None):

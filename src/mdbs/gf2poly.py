@@ -7,9 +7,10 @@ here take and return these ints, and `degree` reports -1 for the zero
 polynomial.  Addition is XOR, and every nonzero polynomial is monic,
 which keeps gcd normalization trivial.  Division jumps from one
 quotient term to the next; gcd and pow_mod reduce with a
-remainder-only loop that builds no quotient.  The derivative,
-reciprocal and text forms act on the whole int at once; symbolic text
-selects its terms from a cached table of x^i strings.
+remainder-only loop that builds no quotient, which gcd runs in place.
+The derivative, reciprocal and text forms act on the whole int at
+once; symbolic text selects its terms from a cached table of x^i
+strings.
 
 Arguments are nonnegative ints and are not coerced; mul, div_rem, gcd
 and pow_mod refuse a negative one, on which their loops would never
@@ -106,7 +107,9 @@ def gcd(a, b):
     if a == b == 0 or min(a, b) < 0:
         raise ValueError('gcd needs nonnegative ints, not both zero')
     while b:
-        a, b = b, _rem(a, b)
+        while (shift := a.bit_length() - b.bit_length()) >= 0:
+            a ^= b << shift
+        a, b = b, a
     return a
 
 
@@ -133,8 +136,8 @@ def build_F(n):
     irreducible binary polynomial whose degree divides n and is not 1.
     It is self-reciprocal and squarefree.
     """
-    if n < 2:
-        raise ValueError('build_F requires n >= 2')
+    if not isinstance(n, int) or n < 2:
+        raise ValueError('build_F requires an integer n >= 2')
     return (1 << ((1 << n) - 1)) - 1
 
 
@@ -170,8 +173,8 @@ def irreducible_count(n):
     x^(2^n) - x is the product of the irreducibles whose degree d
     divides n, so 2^n is the sum of d * N_d over those d.
     """
-    if n < 1:
-        raise ValueError('irreducible_count requires n >= 1')
+    if not isinstance(n, int) or n < 1:
+        raise ValueError('irreducible_count requires an integer n >= 1')
     return ((1 << n) - sum(d * irreducible_count(d) for d in range(1, n)
                            if n % d == 0)) // n
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,15 @@ def test_spans_of_all_cycles_small_order():
     assert spans[14] == 10
     assert spans[4] == 2
     assert spans[12] == 4
+
+
+def test_spans_of_all_cycles_match_reference_berlekamp_massey():
+    # The census takes c_H from the search's labels, building no
+    # HamCycle; the oracle runs naive BM on each reference cycle's labels.
+    expected = Counter(
+        ref.ref_berlekamp_massey([v & 1 for v in verts[1:] + verts[:1]])[0]
+        for verts in ref.ref_hamiltonian_cycles(5))
+    assert canonical.spans_of_all_cycles(5) == expected
 
 
 def test_max_span_cycles_have_coprime_generators():

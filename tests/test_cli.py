@@ -413,13 +413,32 @@ def test_enumerate_jsonl_records(capsys):
 @pytest.mark.parametrize('limit', ['0', '-1'])
 def test_enumerate_nonpositive_limit_prints_nothing(capsys, monkeypatch,
                                                     limit):
+    # enumerate reports each cycle from the search's labels by
+    # canonical._report; the last call shows that the counter sees it.
     calls = {}
-    _count_calls(monkeypatch, canonical, 'minimal_polynomial_of_cycle', calls)
+    _count_calls(monkeypatch, canonical, '_report', calls)
     assert cli.main(['enumerate', '--n', '4', '--limit', limit]) == 0
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == ''
     assert calls == {}
+    assert cli.main(['enumerate', '--n', '4', '--limit', '2']) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert calls == {'_report': 2}
+
+
+def test_enumerate_renders_each_distinct_polynomial_once(capsys,
+                                                         monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, gf2poly, 'to_text', calls)
+    assert cli.main(['enumerate', '--n', '5', '--limit', '40']) == 0
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    fields = ('c_h', 'd', 'f', 'f_star', 'bm_check')
+    distinct = [len({r[key] for key in fields}) for r in records]
+    # f, f* and bm_check coincide when c_H is prime to F.
+    assert min(distinct) < 5
+    assert calls == {'to_text': sum(distinct)}
 
 
 def test_enumerate_guard_override_and_env(capsys, monkeypatch):

@@ -107,6 +107,10 @@ HAM_CYCLE_ERRORS = {
     'vertex_16': ((16,) + FINAL[1:], 'vertex 16 outside 1..15'),
     'text': (('1',) + FINAL[1:], "vertex '1' outside 1..15"),
     'float': ((1.0,) + FINAL[1:], 'vertex 1.0 outside 1..15'),
+    # set() would raise TypeError on these, so distinctness waits.
+    'unhashable': (([1],) + FINAL[1:], 'vertex [1] outside 1..15'),
+    'text_and_repeat': (('1',) + FINAL[1:-1] + (2,),
+                        "vertex '1' outside 1..15"),
     'inner_arc': (FINAL[:3] + (FINAL[4], FINAL[3]) + FINAL[5:],
                   '(11, 13) is not an arc at order 4'),
     'arc_before_vertex': (FINAL[:3] + (FINAL[4], FINAL[3]) + FINAL[5:7]
@@ -325,6 +329,20 @@ def test_enumeration_limit_is_a_prefix_of_the_reference(limit):
            for c in itertools.islice(gamma.enumerate_hamiltonian(5), limit)]
     assert got == list(itertools.islice(ref.ref_hamiltonian_cycles(5),
                                         limit))
+
+
+def test_pruned_search_matches_the_reference_at_order_6():
+    # The last-exit rule skips most dead branches; the first 5,000
+    # cycles of order 6 still come in the unpruned search's order.
+    got = [verts for verts, _ in
+           itertools.islice(gamma._hamiltonian_dfs(6), 5000)]
+    assert got == list(itertools.islice(ref.ref_hamiltonian_cycles(6), 5000))
+
+
+@pytest.mark.parametrize('n', [3, 4, 5])
+def test_search_labels_are_the_cycle_sequences(n):
+    for verts, labels in gamma._hamiltonian_dfs(n):
+        assert labels == gamma.cycle_to_sequence(HamCycle(verts, n)).value
 
 
 def test_enumeration_depth_is_not_bounded_by_recursion():

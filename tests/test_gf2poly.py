@@ -152,8 +152,10 @@ def test_derivative_drops_even_terms():
 def test_build_F_known_values():
     assert F4 == (1 << 15) - 1
     assert gf2poly.build_F(2) == gf2poly.parse('x^2+x+1')
-    with pytest.raises(ValueError):
-        gf2poly.build_F(1)
+    for n in (1, 2.5):
+        with pytest.raises(ValueError,
+                           match='^build_F requires an integer n >= 2$'):
+            gf2poly.build_F(n)
 
 
 def test_build_F_product_identity():
@@ -206,8 +208,10 @@ def test_irreducible_count_known_values():
 
 
 def test_irreducible_count_rejects_degree_0():
-    with pytest.raises(ValueError, match='n >= 1'):
-        gf2poly.irreducible_count(0)
+    for n in (0, 2.5):
+        with pytest.raises(ValueError, match='^irreducible_count requires '
+                                             'an integer n >= 1$'):
+            gf2poly.irreducible_count(n)
 
 
 def test_irreducible_count_matches_exhaustive_scan():

@@ -56,6 +56,8 @@ def test_is_hamiltonian_agrees_with_hamcycle():
     # it has every vertex once and 3 -> 2 closes it.
     assert not greedy.is_hamiltonian([2, 1, 3], 2)
     paths = [(list(p), 2) for p in itertools.permutations((1, 2, 3))]
+    # An unhashable vertex is refused, not a TypeError from set().
+    paths += [([[1], 2, 3], 2), ([3, 2, [1]], 2)]
     for cycle in gamma.enumerate_hamiltonian(4):
         verts = list(cycle.vertices)
         paths.append((verts, 4))
