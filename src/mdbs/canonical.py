@@ -96,21 +96,29 @@ def canonical_generator(cycle):
     return _generator(cycle, cycle_to_sequence(cycle))
 
 
+def _quotient(f, d):
+    """F / d for d = gcd(c_H, F), checked to divide F.
+
+    When d = 1 the fraction is already reduced, and skipping the
+    division keeps the span census over all cycles, most of which have
+    d = 1, as cheap as the gcd alone.
+    """
+    if d == 1:
+        return f
+    quotient, rem = gf2poly.div_rem(f, d)
+    if rem != 0:
+        raise RuntimeError('internal error: gcd does not divide F')
+    return quotient
+
+
 def _lowest_terms(c_h, f):
     """d = gcd(c_H, F) and F / d, the fraction c_H / F in lowest terms.
 
     F / d is the minimal polynomial of the cycle's labels, and its
-    degree is the span.  When d = 1 the fraction is already reduced,
-    and skipping the division keeps the span census over all cycles,
-    most of which have d = 1, as cheap as the gcd alone.
+    degree is the span.
     """
     d = gf2poly.gcd(c_h, f)
-    if d == 1:
-        return d, f
-    quotient, rem = gf2poly.div_rem(f, d)
-    if rem != 0:
-        raise RuntimeError('internal error: gcd does not divide F')
-    return d, quotient
+    return d, _quotient(f, d)
 
 
 def minimal_polynomial(cycle):
@@ -121,30 +129,36 @@ def minimal_polynomial(cycle):
     return _lowest_terms(canonical_generator(cycle), build_F(cycle.n))[1]
 
 
-def _report(cycle, labels):
-    """minimal_polynomial_of_cycle, given the cycle's label sequence."""
-    c_h = _generator(cycle, labels)
-    d, f = _lowest_terms(c_h, build_F(cycle.n))
-    return MinPolyReport(
-        c_h=c_h,
-        d=d,
-        f=f,
-        f_star=gf2poly.reciprocal(f),
-        span=gf2poly.degree(f),
-        bm_check=berlekamp_massey(labels),
-    )
+def _report(c_h, labels, f, reduced):
+    """The MinPolyReport of a cycle from its c_H, its labels and F.
+
+    f and f* depend on c_H only through d = gcd(c_H, F), and a run over
+    many cycles meets few distinct d, so `reduced` maps each d met so
+    far to (f, f*): F is divided once per distinct d.
+    """
+    d = gf2poly.gcd(c_h, f)
+    if d not in reduced:
+        minimal = _quotient(f, d)
+        reduced[d] = minimal, gf2poly.reciprocal(minimal)
+    minimal, reverse = reduced[d]
+    return MinPolyReport(c_h=c_h, d=d, f=minimal, f_star=reverse,
+                         span=gf2poly.degree(minimal),
+                         bm_check=berlekamp_massey(labels))
 
 
-def minimal_polynomial_of_cycle(cycle):
+def minimal_polynomial_of_cycle(cycle, labels=None):
     """Full minimal-polynomial report for one Hamiltonian cycle.
 
     d divides out the common factor of the canonical generator and F,
     f = F / d annihilates the cycle's label sequence, and f* (the
     reciprocal) annihilates the series expansion of c_H / F.  bm_check
     is the Berlekamp-Massey minimal polynomial of the label sequence,
-    which must equal f.
+    which must equal f.  `labels`, when the caller has built it, is the
+    cycle's cycle_to_sequence.
     """
-    return _report(cycle, cycle_to_sequence(cycle))
+    if labels is None:
+        labels = cycle_to_sequence(cycle)
+    return _report(_generator(cycle, labels), labels, build_F(cycle.n), {})
 
 
 def spans_of_all_cycles(n):

@@ -253,15 +253,35 @@ def cmd_join(cfg):
 
 
 def cmd_enumerate(cfg):
-    # The search's labels give each report and its sequence field.
-    from . import canonical, gamma, seqkit
-    gamma._check_order(cfg.n, minimum=3)
-    period = (1 << cfg.n) - 1
-    for verts, value in _take(gamma._hamiltonian_dfs(cfg.n), cfg.limit):
-        cycle = gamma.HamCycle(verts, cfg.n)
+    # The search's labels, read from the all-ones vertex, give each
+    # report and its sequence field.  d, f, f* and bm_check take few
+    # distinct values over a run, so each is rendered once; c_H differs
+    # from cycle to cycle and is rendered in every record.
+    from . import canonical, gamma, gf2poly, seqkit
+    n = cfg.n
+    gamma._check_order(n, minimum=3)
+    period = (1 << n) - 1
+    f = gf2poly.build_F(n)
+    names, reduced, text = None, {}, {}
+    for verts, value in _take(gamma._hamiltonian_dfs(n), cfg.limit):
+        gamma.HamCycle(verts, n)
+        if names is None:
+            # The search has allocated its tables, so this one fits.
+            names = [str(v) for v in range(period + 1)]
         labels = seqkit.BitSequence(value, period)
-        _emit('jsonl', _report_record(cycle, labels,
-                                      canonical._report(cycle, labels)))
+        r = canonical._report(canonical._c_h(value, n), labels, f, reduced)
+        for p in (r.d, r.f, r.f_star, r.bm_check):
+            if p not in text:
+                text[p] = gf2poly.to_text(p)
+        # The bytes json.dumps writes, built by hand: every string is
+        # 0/1 digits or symbolic text of x, ^, + and digits, none of
+        # which JSON escapes.
+        print(f'{{"n": {n}, '
+              f'"vertices": [{", ".join([names[v] for v in verts])}], '
+              f'"sequence": "{labels.to_text()}", '
+              f'"c_h": "{gf2poly.to_text(r.c_h)}", "d": "{text[r.d]}", '
+              f'"f": "{text[r.f]}", "f_star": "{text[r.f_star]}", '
+              f'"span": {r.span}, "bm_check": "{text[r.bm_check]}"}}')
     return EXIT_OK
 
 
@@ -300,8 +320,9 @@ def cmd_minpoly(cfg):
     cycle = _cycle_from_config(cfg, 'error')
     if cycle is None:
         return EXIT_VERIFY
-    record = _report_record(cycle, gamma.cycle_to_sequence(cycle),
-                            canonical.minimal_polynomial_of_cycle(cycle))
+    labels = gamma.cycle_to_sequence(cycle)
+    report = canonical.minimal_polynomial_of_cycle(cycle, labels)
+    record = _report_record(cycle, labels, report)
     _emit(cfg.format, record, lambda r: '\n'.join(
         f'{key} = {r[key]}' for key in canonical.MinPolyReport._fields))
     return EXIT_OK
@@ -314,8 +335,8 @@ def cmd_verify(cfg):
         cycle = _cycle_from_config(cfg, 'verification failed')
         if cycle is None:
             return EXIT_VERIFY
-        report = canonical.minimal_polynomial_of_cycle(cycle)
         seq = gamma.cycle_to_sequence(cycle)
+        report = canonical.minimal_polynomial_of_cycle(cycle, seq)
         bm_matches = report.bm_check == report.f
         ok = bm_matches and seqkit.is_modified_de_bruijn(seq, cycle.n)
         record = {'n': cycle.n, 'vertices': list(cycle.vertices),
@@ -328,7 +349,7 @@ def cmd_verify(cfg):
             return _usage('cannot infer the order; pass --n')
         debruijn = seqkit.is_de_bruijn(seq, n)
         mdb = seqkit.is_modified_de_bruijn(seq, n)
-        f = seqkit.berlekamp_massey(seq)
+        f = seqkit.minimal_polynomial(seq)
         span_form = None
         if debruijn and n >= 3:
             span_form = seqkit.has_span_form(f, n)

@@ -109,6 +109,20 @@ def berlekamp_massey(s):
     return int(format(c, f'0{length + 1}b')[::-1], 2)
 
 
+def minimal_polynomial(s):
+    """Minimal polynomial of the periodic s, by one gcd and one division.
+
+    With S = s_0 + s_1 x + ... + s_(N-1) x^(N-1) for period N, the
+    series S / (x^N + 1) in lowest terms has denominator
+    (x^N + 1) / gcd(x^N + 1, S), and its reciprocal is the minimal
+    polynomial that berlekamp_massey returns.  The packed value is S
+    reversed times a power of x, which is prime to the self-reciprocal
+    x^N + 1, so (x^N + 1) / gcd(x^N + 1, value) is that reciprocal.
+    """
+    x_n_1 = 1 << s.period | 1
+    return gf2poly.div_rem(x_n_1, gf2poly.gcd(x_n_1, s.value))[0]
+
+
 def _is_window_complete(s, n, zero_free):
     """is_de_bruijn, or is_modified_de_bruijn if zero_free: one scan."""
     _check_order(n)

@@ -410,13 +410,23 @@ def test_enumerate_jsonl_records(capsys):
             seqkit.parse_sequence(record['sequence']), 4)
 
 
+def _count_per_cycle_work(monkeypatch, calls):
+    """Count the checks and steps enumerate runs on each cycle: the
+    HamCycle test, c_H with its odd-weight check, the gcd with F and
+    Berlekamp-Massey."""
+    _count_calls(monkeypatch, gamma, '_is_closed_walk', calls)
+    _count_calls(monkeypatch, canonical, '_div_by_x_plus_1', calls)
+    _count_calls(monkeypatch, gf2poly, 'gcd', calls)
+    _count_calls(monkeypatch, canonical, 'berlekamp_massey', calls)
+
+
 @pytest.mark.parametrize('limit', ['0', '-1'])
 def test_enumerate_nonpositive_limit_prints_nothing(capsys, monkeypatch,
                                                     limit):
-    # enumerate reports each cycle from the search's labels by
-    # canonical._report; the last call shows that the counter sees it.
+    # A limit below 1 does no per-cycle work; the last call shows that
+    # the counters see it.
     calls = {}
-    _count_calls(monkeypatch, canonical, '_report', calls)
+    _count_per_cycle_work(monkeypatch, calls)
     assert cli.main(['enumerate', '--n', '4', '--limit', limit]) == 0
     captured = capsys.readouterr()
     assert captured.out == ''
@@ -424,21 +434,74 @@ def test_enumerate_nonpositive_limit_prints_nothing(capsys, monkeypatch,
     assert calls == {}
     assert cli.main(['enumerate', '--n', '4', '--limit', '2']) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert calls == {'_report': 2}
+    assert calls == {'_is_closed_walk': 2, '_div_by_x_plus_1': 2, 'gcd': 2,
+                     'berlekamp_massey': 2}
+
+
+def test_enumerate_checks_every_cycle_once(capsys, monkeypatch):
+    calls = {}
+    _count_per_cycle_work(monkeypatch, calls)
+    assert cli.main(['enumerate', '--n', '5']) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2048
+    assert calls == {'_is_closed_walk': 2048, '_div_by_x_plus_1': 2048,
+                     'gcd': 2048, 'berlekamp_massey': 2048}
 
 
 def test_enumerate_renders_each_distinct_polynomial_once(capsys,
                                                          monkeypatch):
+    # c_H differs from cycle to cycle; d, f, f* and bm_check take a few
+    # dozen values over the run, and each is rendered once.
     calls = {}
     _count_calls(monkeypatch, gf2poly, 'to_text', calls)
-    assert cli.main(['enumerate', '--n', '5', '--limit', '40']) == 0
+    assert cli.main(['enumerate', '--n', '5']) == 0
     records = [json.loads(line)
                for line in capsys.readouterr().out.splitlines()]
-    fields = ('c_h', 'd', 'f', 'f_star', 'bm_check')
-    distinct = [len({r[key] for key in fields}) for r in records]
-    # f, f* and bm_check coincide when c_H is prime to F.
-    assert min(distinct) < 5
-    assert calls == {'to_text': sum(distinct)}
+    shared = {r[key] for r in records
+              for key in ('d', 'f', 'f_star', 'bm_check')}
+    assert len(shared) < 100
+    assert calls == {'to_text': len(records) + len(shared)}
+
+
+@pytest.mark.parametrize('n', [4, 5])
+def test_enumerate_lines_are_json_dumps_of_each_record(capsys, n):
+    # The records as a dict, rendered by json.dumps and built by the
+    # public per-cycle route: HamCycle, cycle_to_sequence and
+    # minimal_polynomial_of_cycle.
+    expected = []
+    for cycle in gamma.enumerate_hamiltonian(n):
+        record = {'n': n, 'vertices': list(cycle.vertices),
+                  'sequence': gamma.cycle_to_sequence(cycle).to_text()}
+        report = canonical.minimal_polynomial_of_cycle(cycle)
+        for key, value in report._asdict().items():
+            record[key] = value if key == 'span' else gf2poly.to_text(value)
+        expected.append(json.dumps(record))
+    assert cli.main(['enumerate', '--n', str(n)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_reversed_labels_have_f_star_as_minimal_polynomial(capsys):
+    # Reversing a cycle's labels gives another cycle of the order, and
+    # the reversed sequence is annihilated by the reciprocal of f.
+    assert cli.main(['enumerate', '--n', '5']) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2048
+    for line in lines:
+        record = json.loads(line)
+        reverse = seqkit.parse_sequence(record['sequence'][::-1])
+        cycle = gamma.cycle_from_sequence(reverse, 5)
+        assert (gf2poly.to_text(canonical.minimal_polynomial(cycle))
+                == record['f_star'])
+
+
+@pytest.mark.parametrize('command', ['minpoly', 'verify'])
+def test_cycle_commands_build_the_labels_once(capsys, monkeypatch, command):
+    # canonical imports cycle_to_sequence by name, so both names count.
+    calls = {}
+    for module in (gamma, canonical):
+        _count_calls(monkeypatch, module, 'cycle_to_sequence', calls)
+    assert cli.main([command, '--cycle', FINAL_CYCLE]) == 0
+    capsys.readouterr()
+    assert calls == {'cycle_to_sequence': 1}
 
 
 def test_enumerate_guard_override_and_env(capsys, monkeypatch):
@@ -564,15 +627,17 @@ def test_verify_sequence_de_bruijn(capsys):
 
 def test_verify_de_bruijn_sequence_runs_each_check_once(capsys,
                                                       monkeypatch):
+    # The minimal polynomial comes from the gcd formula, not from
+    # Berlekamp-Massey.
     calls = []
-    for name in ('berlekamp_massey', 'is_de_bruijn'):
+    for name in ('berlekamp_massey', 'minimal_polynomial', 'is_de_bruijn'):
         check = getattr(seqkit, name)
         monkeypatch.setattr(
             seqkit, name,
             lambda *a, name=name, check=check: calls.append(name) or check(*a))
     assert cli.main(['verify', '--sequence', DE_BRUIJN_16]) == 0
     assert 'span_form = True' in capsys.readouterr().out.splitlines()
-    assert sorted(calls) == ['berlekamp_massey', 'is_de_bruijn']
+    assert sorted(calls) == ['is_de_bruijn', 'minimal_polynomial']
 
 
 def test_verify_sequence_modified_jsonl(capsys):
@@ -743,6 +808,8 @@ def test_import_loads_only_what_the_module_imports(module, loaded):
     (['--help'], {'cli'}),
     (['tables', '--n', '4', '--which', '99'], {'cli'}),
     (['verify', '--sequence', DE_BRUIJN_16], {'cli', 'gf2poly', 'seqkit'}),
+    (['enumerate', '--n', '3'],
+     {'cli', 'canonical', 'gamma', 'gf2poly', 'seqkit'}),
     (['decompose', '--n', '4', '--seed', '1'],
      {'cli', 'gamma', 'gf2poly', 'greedy', 'seqkit', 'json'}),
     # Every table loads the modules of all four tables.

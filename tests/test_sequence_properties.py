@@ -8,6 +8,8 @@ sequences are checked at every edge period.  `parse_sequence`, the
 checked way in from text, is held to the tuple it spells.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,10 +45,16 @@ def _bm(bits):
     return gf2poly.degree(f), f
 
 
+def _gcd_route(bits):
+    """(degree, polynomial) of seqkit.minimal_polynomial."""
+    f = seqkit.minimal_polynomial(_seq(bits))
+    return gf2poly.degree(f), f
+
+
 @properties
 @given(bit_tuples())
 def test_berlekamp_massey_matches_bit_loop(bits):
-    assert _bm(bits) == ref.ref_berlekamp_massey(bits)
+    assert _bm(bits) == _gcd_route(bits) == ref.ref_berlekamp_massey(bits)
 
 
 @pytest.mark.parametrize('p', EDGE_PERIODS)
@@ -54,13 +62,35 @@ def test_berlekamp_massey_matches_bit_loop(bits):
 def test_berlekamp_massey_edge_sequences(p, kind):
     bits = {'zeros': (0,) * p, 'ones': (1,) * p,
             'single_one': (0,) * (p - 1) + (1,)}[kind]
-    assert _bm(bits) == ref.ref_berlekamp_massey(bits)
+    assert _bm(bits) == _gcd_route(bits) == ref.ref_berlekamp_massey(bits)
 
 
 def test_berlekamp_massey_every_order_5_cycle():
     for cycle in gamma.enumerate_hamiltonian(5):
         bits = _bits(gamma.cycle_to_sequence(cycle))
-        assert _bm(bits) == ref.ref_berlekamp_massey(bits)
+        assert _bm(bits) == _gcd_route(bits) == ref.ref_berlekamp_massey(bits)
+
+
+def test_minimal_polynomial_every_period():
+    # The bit-loop oracle takes about 13 s over periods 1..600, so it
+    # runs up to period 150; above that the gcd route is held to the
+    # packed Berlekamp-Massey, which the property test above holds to
+    # the oracle at periods up to 600.
+    rng = random.Random(2)
+    for p in range(1, 601):
+        bits = tuple(rng.randrange(2) for _ in range(p))
+        expected = (ref.ref_berlekamp_massey(bits) if p <= 150
+                    else _bm(bits))
+        assert _gcd_route(bits) == expected
+
+
+@pytest.mark.parametrize('n', range(2, 11))
+def test_minimal_polynomial_of_window_complete_sequences(n):
+    labels = gamma.cycle_to_sequence(
+        joiner.join_all(greedy.psi_decompose(n, seed=n)))
+    for s in (labels, seqkit.debruijnize(labels, n)):
+        bits = _bits(s)
+        assert _gcd_route(bits) == ref.ref_berlekamp_massey(bits)
 
 
 def _assert_round_trip(cycle):
